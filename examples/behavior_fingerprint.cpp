@@ -1,15 +1,17 @@
 // Prints a deterministic behavior fingerprint of the consensus engine:
 // the chaos sweep's per-seed fault fingerprints and committed-prefix
-// hashes, plus per-protocol steady-state run digests (committed prefix,
-// client counters, network message/byte totals).
+// hashes, per-protocol steady-state run digests (committed prefix, client
+// counters, network message/byte totals), and the disk chaos sweep's
+// per-seed digests (the fsync-gated acknowledgement path on simulated
+// disks).
 //
 // The output is a refactoring contract: any change that claims to be
-// behavior-preserving must reproduce this byte-for-byte (diff the output
-// of the old and new builds). The PR 3 engine decomposition was proven
-// with exactly this probe.
+// behavior-preserving must reproduce this byte-for-byte. The full-matrix
+// output is committed as tests/golden/behavior_fingerprint.txt, and the
+// BehaviorFingerprintGolden ctest diffs a fresh run against it.
 //
 // Usage: behavior_fingerprint [num_chaos_seeds]   (default 25, the full
-// chaos sweep matrix)
+// chaos sweep matrices)
 
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +50,29 @@ chaos::ChaosPlan SweepPlan(uint64_t seed) {
   plan.max_gap = Millis(120);
   plan.min_duration = Millis(50);
   plan.max_duration = Millis(200);
+  return plan;
+}
+
+// Mirrors tests/chaos/disk_chaos_sweep_test.cc: the sweep cells on
+// simulated disks (10 us write, 100 us fsync, group commit) under crash,
+// leader-crash, disk-stall and tail-corruption faults.
+harness::ClusterConfig DiskSweepConfig(raft::Protocol protocol,
+                                       uint64_t seed) {
+  harness::ClusterConfig config = SweepConfig(protocol, seed);
+  config.client_max_requests = 200;
+  config.disk.enabled = true;
+  config.disk.write_latency = Micros(10);
+  config.disk.fsync_latency = Micros(100);
+  config.disk.group_commit = true;
+  config.disk.fault_seed = seed;
+  return config;
+}
+
+chaos::ChaosPlan DiskSweepPlan(uint64_t seed) {
+  chaos::ChaosPlan plan = SweepPlan(seed);
+  plan.mix = {chaos::FaultKind::kCrash, chaos::FaultKind::kCrashLeader,
+              chaos::FaultKind::kDiskStall, chaos::FaultKind::kDiskCorruption};
+  plan.disk_stall_extra = Millis(2);
   return plan;
 }
 
@@ -143,6 +168,25 @@ int main(int argc, char** argv) {
        {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
     for (uint64_t seed : {91ULL, 92ULL, 93ULL}) {
       SteadyStateDigest(protocol, seed);
+    }
+  }
+  for (raft::Protocol protocol :
+       {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
+    for (uint64_t seed = 1; seed <= seeds; ++seed) {
+      chaos::ChaosRunner runner(DiskSweepConfig(protocol, seed),
+                                DiskSweepPlan(seed), SweepOptions());
+      const chaos::ChaosReport report = runner.Run();
+      std::printf("disk %-8s seed %llu: fp %llu prefix %llu commit %lld "
+                  "completed %llu events %llu violations %zu\n",
+                  std::string(raft::ProtocolName(protocol)).c_str(),
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(report.fault_fingerprint),
+                  static_cast<unsigned long long>(
+                      report.committed_prefix_hash),
+                  static_cast<long long>(report.final_commit_index),
+                  static_cast<unsigned long long>(report.requests_completed),
+                  static_cast<unsigned long long>(report.sim_events),
+                  report.violations.size());
     }
   }
   return 0;

@@ -9,8 +9,6 @@ void VoteList::AddTuple(storage::LogIndex index, storage::Term term,
   Tuple& t = tuples_[index];
   t.term = term;
   t.required = required;
-  // kInvalidNode defers the leader's self-vote: with a simulated disk the
-  // leader only counts itself once its own fsync covers the entry.
   if (leader != net::kInvalidNode) t.strong.insert(leader);
 }
 
@@ -47,6 +45,16 @@ std::vector<storage::LogIndex> VoteList::AddStrongUpTo(
     }
   }
   return PopCommittable(commit_up_to, current_term);
+}
+
+std::vector<storage::LogIndex> VoteList::AddStrongAt(
+    storage::LogIndex index, net::NodeId node, storage::Term current_term) {
+  const auto it = tuples_.find(index);
+  if (it == tuples_.end()) return {};  // Already committed.
+  Tuple& tuple = it->second;
+  tuple.strong.insert(node);
+  if (tuple.term != current_term || !StrongSatisfied(tuple)) return {};
+  return PopCommittable(index, current_term);
 }
 
 std::vector<storage::LogIndex> VoteList::PopCommittable(

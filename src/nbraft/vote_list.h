@@ -31,10 +31,10 @@ class VoteList {
     bool weak_notified = false;
   };
 
-  /// Registers a tuple when the leader starts replicating `index`. The
-  /// leader itself counts as strongly accepted (it appended locally);
-  /// pass kInvalidNode to defer the self-vote until the leader's own
-  /// durable write completes (fsync-gated acknowledgement).
+  /// Registers a tuple when the leader starts replicating `index`, with
+  /// `leader` already counted as strongly accepted. kInvalidNode registers
+  /// no vote: the engine's path, where the leader's own vote arrives
+  /// through AddStrongAt once its append is durable.
   void AddTuple(storage::LogIndex index, storage::Term term,
                 net::NodeId leader, int required);
 
@@ -59,6 +59,15 @@ class VoteList {
   std::vector<storage::LogIndex> AddStrongUpTo(storage::LogIndex last_index,
                                                net::NodeId node,
                                                storage::Term current_term);
+
+  /// Records a STRONG_ACCEPT from `node` for the tuple at `index` alone
+  /// and, when that satisfies it, commits it with its committable prefix.
+  /// This is the leader's self-vote: self-votes arrive in index order, so
+  /// every earlier tuple already holds the leader's vote and touching one
+  /// tuple commits what AddStrongUpTo would without walking the list.
+  std::vector<storage::LogIndex> AddStrongAt(storage::LogIndex index,
+                                             net::NodeId node,
+                                             storage::Term current_term);
 
   /// Visits every tuple in index order (mutable) — used to re-evaluate
   /// required counts when the set of alive replicas changes (CRaft/ECRaft

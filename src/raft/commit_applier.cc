@@ -13,6 +13,21 @@ void CommitApplier::OnLeaderAppended(storage::LogIndex index) {
   entry_timing_[index].indexed_at = ctx_->Now();
 }
 
+void CommitApplier::AddLeaderVote(storage::LogIndex index, storage::Term term,
+                                  int required) {
+  vote_list_.AddTuple(index, term, net::kInvalidNode, required);
+  const uint64_t epoch = ctx_->core().epoch;
+  ctx_->WhenDurable([this, epoch, index, term]() {
+    CoreState& c = ctx_->core();
+    if (c.crashed || epoch != c.epoch || c.role != Role::kLeader ||
+        c.current_term != term) {
+      return;
+    }
+    c.strong_ack_frontier = std::max(c.strong_ack_frontier, index);
+    CommitIndices(vote_list_.AddStrongAt(index, ctx_->id(), term));
+  });
+}
+
 void CommitApplier::NoteFirstStrongUpTo(storage::LogIndex last_index) {
   for (auto it = entry_timing_.begin();
        it != entry_timing_.end() && it->first <= last_index; ++it) {

@@ -23,6 +23,15 @@ class CommitApplier {
   /// Starts the Fig. 4 clock for a leader-appended index (t_idx done).
   void OnLeaderAppended(storage::LogIndex index);
 
+  /// The leader's own commit vote for its just-appended `index` of `term`,
+  /// a durability claim like any follower strong accept. Registers the
+  /// VoteList tuple needing `required` strong accepts; once the covering
+  /// fsync completes (inline when none is pending) raises the strong-ack
+  /// frontier and commits what the vote completes — a solo quorum
+  /// commits right there.
+  void AddLeaderVote(storage::LogIndex index, storage::Term term,
+                     int required);
+
   /// Marks the first covering strong accept for every index
   /// <= `last_index` that has none yet (t_ack starts here).
   void NoteFirstStrongUpTo(storage::LogIndex last_index);

@@ -20,15 +20,15 @@ class NodeContext;
 /// a sync is in flight under the next single barrier), and parks
 /// acknowledgement callbacks until the barrier that covers them completes.
 ///
-/// Three regimes, chosen by the attached log:
-///   * detached (no durable log): every persist is a no-op and WhenDurable
-///     runs inline — the modelled-durability default, zero events;
-///   * instant backend (real WAL file): persists stage + sync inline, so
-///     WhenDurable still runs inline and the event sequence is identical
-///     to modelled durability;
-///   * simulated disk: syncs cost virtual time on the disk's I/O lane, and
-///     WhenDurable defers its callback to the covering sync completion —
-///     this is what makes acknowledgements fsync-gated.
+/// This is the node's one ack gate: every durability claim reaches it
+/// through NodeContext::WhenDurable, which runs the claim inline while
+/// pending_records() is 0 and parks it here otherwise. Only the storage
+/// decides how often that happens. With no durable log (modelled
+/// durability, zero events) or an instant backend (the real WAL file
+/// stages and syncs inline) nothing is ever pending, so every claim
+/// completes inline and the event sequence is the paper's original one.
+/// On the simulated disk syncs cost virtual time on the disk's I/O lane,
+/// and claims wait for their covering sync.
 ///
 /// Storage failures (failed append or fsync) are routed to
 /// NodeContext::OnStorageFailure; parked waiters are then never fired (the
@@ -49,7 +49,8 @@ class DurabilityCoordinator {
   /// and discards parked waiters (they died with the node's memory).
   void Detach();
 
-  /// True when persistence completes inline without consuming virtual time.
+  /// True when persistence completes inline without consuming virtual
+  /// time, so a crash can never tear an appended record.
   bool instant() const { return log_ == nullptr || log_->instant(); }
 
   // ---- Persist operations (stage a record + schedule its barrier) ----
@@ -62,7 +63,8 @@ class DurabilityCoordinator {
   void PersistConfig(const std::string& encoded, storage::LogIndex at);
 
   /// Runs `fn` once everything persisted so far is covered by a completed
-  /// fsync — inline when it already is.
+  /// fsync — inline when it already is (NodeContext::WhenDurable checks
+  /// that first, before type erasure).
   void WhenDurable(std::function<void()> fn);
 
   /// Highest entry index covered by a completed fsync. Meaningless (0) in

@@ -171,26 +171,20 @@ void ElectionEngine::StartElection() {
   req.candidate = ctx_->id();
   req.last_log_index = ctx_->log().LastIndex();
   req.last_log_term = ctx_->log().LastTerm();
-  if (ctx_->DurabilityInstant()) {
+  // The candidacy (term bump + self-vote) must be fsynced before anyone
+  // hears about it, or a crash could forget the vote and grant it again.
+  const uint64_t epoch = core.epoch;
+  const storage::Term term = core.current_term;
+  ctx_->WhenDurable([this, epoch, term, req]() {
+    const CoreState& c = ctx_->core();
+    if (c.crashed || epoch != c.epoch || c.current_term != term ||
+        c.role != Role::kCandidate) {
+      return;
+    }
     for (net::NodeId peer : ctx_->peer_ids()) {
       ctx_->SendTo(peer, req.WireSize(), req);
     }
-  } else {
-    // The candidacy (term bump + self-vote) must be fsynced before anyone
-    // hears about it, or a crash could forget the vote and grant it again.
-    const uint64_t epoch = core.epoch;
-    const storage::Term term = core.current_term;
-    ctx_->WhenDurable([this, epoch, term, req]() {
-      const CoreState& c = ctx_->core();
-      if (c.crashed || epoch != c.epoch || c.current_term != term ||
-          c.role != Role::kCandidate) {
-        return;
-      }
-      for (net::NodeId peer : ctx_->peer_ids()) {
-        ctx_->SendTo(peer, req.WireSize(), req);
-      }
-    });
-  }
+  });
   ArmElectionTimer();  // Retry with a fresh randomized timeout.
 }
 
@@ -293,19 +287,19 @@ void ElectionEngine::HandleRequestVote(RequestVoteRequest req) {
       ArmElectionTimer();
     }
   }
-  if (resp.granted && !ctx_->DurabilityInstant()) {
-    // The vote is a durable promise: it must not reach the candidate
-    // before the fsync that remembers it.
-    const uint64_t epoch = core.epoch;
-    const net::NodeId candidate = req.candidate;
-    ctx_->WhenDurable([this, epoch, candidate, resp]() {
-      const CoreState& c = ctx_->core();
-      if (c.crashed || epoch != c.epoch) return;
-      ctx_->SendTo(candidate, resp.WireSize(), resp);
-    });
+  if (!resp.granted) {
+    ctx_->SendTo(req.candidate, resp.WireSize(), resp);
     return;
   }
-  ctx_->SendTo(req.candidate, resp.WireSize(), resp);
+  // The vote is a durable promise: it must not reach the candidate before
+  // the fsync that remembers it.
+  const uint64_t epoch = core.epoch;
+  const net::NodeId candidate = req.candidate;
+  ctx_->WhenDurable([this, epoch, candidate, resp]() {
+    const CoreState& c = ctx_->core();
+    if (c.crashed || epoch != c.epoch) return;
+    ctx_->SendTo(candidate, resp.WireSize(), resp);
+  });
 }
 
 void ElectionEngine::HandleVoteResponse(RequestVoteResponse resp) {
@@ -473,46 +467,16 @@ void ElectionEngine::BecomeLeader() {
   log.Append(noop);
   ctx_->PersistEntry(noop);
   ++ctx_->stats().entries_appended;
-  VoteList& vote_list = ctx_->applier()->vote_list();
-  if (ctx_->DurabilityInstant()) {
-    vote_list.AddTuple(noop.index, noop.term, ctx_->id(), ctx_->quorum());
-    core.strong_ack_frontier =
-        std::max(core.strong_ack_frontier, noop.index);
-  } else {
-    // Same fsync-gated self-vote as IndexAndReplicate.
-    vote_list.AddTuple(noop.index, noop.term, net::kInvalidNode,
-                       ctx_->quorum());
-    const uint64_t epoch = core.epoch;
-    const storage::LogIndex index = noop.index;
-    const storage::Term term = noop.term;
-    ctx_->WhenDurable([this, epoch, index, term]() {
-      CoreState& c = ctx_->core();
-      if (c.crashed || epoch != c.epoch || c.role != Role::kLeader ||
-          c.current_term != term) {
-        return;
-      }
-      c.strong_ack_frontier = std::max(c.strong_ack_frontier, index);
-      ctx_->applier()->CommitIndices(
-          ctx_->applier()->vote_list().AddStrongUpTo(index, ctx_->id(),
-                                                     c.current_term));
-    });
-  }
   ctx_->applier()->OnLeaderAppended(noop.index);
   ctx_->pipeline()->ReplicateEntry(noop);
-  MembershipEngine* m = ctx_->membership();
-  const bool solo_quorum = (m != nullptr && m->active())
-                               ? m->QuorumSatisfied({ctx_->id()})
-                               : ctx_->peer_ids().empty();
-  if (solo_quorum && ctx_->DurabilityInstant()) {
-    ctx_->applier()->CommitIndices(
-        vote_list.AddStrongUpTo(noop.index, ctx_->id(), core.current_term));
-  }
+  ctx_->applier()->AddLeaderVote(noop.index, noop.term, ctx_->quorum());
 
   ctx_->pipeline()->BroadcastHeartbeat();
 
   // Resume catch-up for any learners the committed config already names:
   // recovery tracking is leader-side soft state, so a new leader rebuilds
   // it from the configuration.
+  MembershipEngine* m = ctx_->membership();
   if (m != nullptr && m->active() && ctx_->recovery() != nullptr) {
     for (net::NodeId learner : m->config().learners) {
       if (learner != ctx_->id()) ctx_->recovery()->StartRecovery(learner);

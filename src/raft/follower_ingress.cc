@@ -190,21 +190,15 @@ void FollowerIngress::ProcessEntry(const AppendEntriesRequest& req,
     if (entry.index >= log.FirstIndex()) {
       AdvanceFollowerCommit(req.leader_commit, entry.index);
     }
-    if (ctx_->DurabilityInstant()) {
-      RespondAppend(req, AcceptState::kStrongAccept, log.LastIndex(),
-                    log.LastTerm());
-    } else {
-      // The duplicate was appended earlier but its covering fsync may
-      // still be in flight: a strong accept must wait for it.
-      const uint64_t epoch = core.epoch;
-      const storage::LogIndex last = log.LastIndex();
-      const storage::Term last_term = log.LastTerm();
-      ctx_->WhenDurable([this, epoch, req, last, last_term]() {
-        const CoreState& c = ctx_->core();
-        if (c.crashed || epoch != c.epoch) return;
-        RespondAppend(req, AcceptState::kStrongAccept, last, last_term);
-      });
-    }
+    // The duplicate was appended earlier but its covering fsync may still
+    // be in flight: a strong accept must wait for it.
+    const uint64_t epoch = core.epoch;
+    ctx_->WhenDurable(
+        [this, epoch, req, last, last_term = log.LastTerm()]() {
+          const CoreState& c = ctx_->core();
+          if (c.crashed || epoch != c.epoch) return;
+          RespondAppend(req, AcceptState::kStrongAccept, last, last_term);
+        });
     return;
   }
 
@@ -362,7 +356,7 @@ void FollowerIngress::ProcessBatch(AppendEntriesRequest req,
   const SimTime submit_time = ctx_->Now();
   ctx_->log_lock_lane()->Submit(
       cost, [this, epoch, head, new_last, new_last_term, submit_time,
-             cost]() {
+             cost]() mutable {
         const CoreState& c = ctx_->core();
         if (c.crashed || epoch != c.epoch) return;
         ctx_->TracePhase(metrics::Phase::kAppendFollower,
@@ -372,17 +366,13 @@ void FollowerIngress::ProcessBatch(AppendEntriesRequest req,
                          ctx_->Now() - cost, head.entry.term,
                          head.entry.index, head.entry.request_id);
         ++ctx_->stats().strong_accepts_sent;
-        if (ctx_->DurabilityInstant()) {
+        ctx_->WhenDurable([this, epoch, head = std::move(head), new_last,
+                           new_last_term]() {
+          const CoreState& c2 = ctx_->core();
+          if (c2.crashed || epoch != c2.epoch) return;
           RespondAppend(head, AcceptState::kStrongAccept, new_last,
                         new_last_term);
-        } else {
-          ctx_->WhenDurable([this, epoch, head, new_last, new_last_term]() {
-            const CoreState& c2 = ctx_->core();
-            if (c2.crashed || epoch != c2.epoch) return;
-            RespondAppend(head, AcceptState::kStrongAccept, new_last,
-                          new_last_term);
-          });
-        }
+        });
       });
 
   RecheckHeldEntries();
@@ -450,8 +440,8 @@ void FollowerIngress::AppendAndFlush(const AppendEntriesRequest& req,
   const uint64_t epoch = core.epoch;
   const SimTime submit_time = ctx_->Now();
   ctx_->log_lock_lane()->Submit(
-      cost, [this, epoch, req, new_last, new_last_term, submit_time,
-             cost]() {
+      cost, [this, epoch, req = req, new_last, new_last_term, submit_time,
+             cost]() mutable {
         const CoreState& c = ctx_->core();
         if (c.crashed || epoch != c.epoch) return;
         ctx_->TracePhase(metrics::Phase::kAppendFollower,
@@ -461,19 +451,15 @@ void FollowerIngress::AppendAndFlush(const AppendEntriesRequest& req,
                          ctx_->Now() - cost, req.entry.term,
                          req.entry.index, req.entry.request_id);
         ++ctx_->stats().strong_accepts_sent;
-        if (ctx_->DurabilityInstant()) {
+        // The strong accept claims durability: it leaves only after the
+        // fsync covering this append completes.
+        ctx_->WhenDurable([this, epoch, req = std::move(req), new_last,
+                           new_last_term]() {
+          const CoreState& c2 = ctx_->core();
+          if (c2.crashed || epoch != c2.epoch) return;
           RespondAppend(req, AcceptState::kStrongAccept, new_last,
                         new_last_term);
-        } else {
-          // The strong accept claims durability: it leaves only after the
-          // fsync covering this append completes.
-          ctx_->WhenDurable([this, epoch, req, new_last, new_last_term]() {
-            const CoreState& c2 = ctx_->core();
-            if (c2.crashed || epoch != c2.epoch) return;
-            RespondAppend(req, AcceptState::kStrongAccept, new_last,
-                          new_last_term);
-          });
-        }
+        });
       });
 
   RecheckHeldEntries();

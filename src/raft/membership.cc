@@ -254,37 +254,11 @@ bool MembershipEngine::AppendConfigEntry(const Configuration& next) {
               static_cast<int64_t>(entry.index), canonical.joint() ? 1 : 0);
   }
 
-  VoteList& vote_list = ctx_->applier()->vote_list();
-  if (ctx_->DurabilityInstant()) {
-    vote_list.AddTuple(entry.index, entry.term, ctx_->id(), ctx_->quorum());
-    core.strong_ack_frontier = std::max(core.strong_ack_frontier, entry.index);
-  } else {
-    // Fsync-gated self-vote, exactly like the BecomeLeader no-op.
-    vote_list.AddTuple(entry.index, entry.term, net::kInvalidNode,
-                       ctx_->quorum());
-    const uint64_t epoch = core.epoch;
-    const storage::LogIndex index = entry.index;
-    const storage::Term term = entry.term;
-    ctx_->WhenDurable([this, epoch, index, term]() {
-      CoreState& c = ctx_->core();
-      if (c.crashed || epoch != c.epoch || c.role != Role::kLeader ||
-          c.current_term != term) {
-        return;
-      }
-      c.strong_ack_frontier = std::max(c.strong_ack_frontier, index);
-      ctx_->applier()->CommitIndices(
-          ctx_->applier()->vote_list().AddStrongUpTo(index, ctx_->id(),
-                                                     c.current_term));
-    });
-  }
   ctx_->applier()->OnLeaderAppended(entry.index);
   ctx_->pipeline()->ReplicateEntry(entry);
   // A roster whose voting majority is the leader alone (bootstrap node,
   // or adding the first learner) commits on the leader's own vote.
-  if (ctx_->DurabilityInstant() && QuorumSatisfied({ctx_->id()})) {
-    ctx_->applier()->CommitIndices(
-        vote_list.AddStrongUpTo(entry.index, ctx_->id(), core.current_term));
-  }
+  ctx_->applier()->AddLeaderVote(entry.index, entry.term, ctx_->quorum());
   return true;
 }
 

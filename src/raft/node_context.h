@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -131,17 +132,35 @@ class NodeContext {
     (void)at;
   }
 
-  // ---- Durability barrier ----
-  /// True when persistence completes inline without consuming virtual
-  /// time (modelled durability or the real-file WAL). The engines take the
-  /// paper's original code paths in that case; only a simulated disk makes
-  /// acknowledgements wait for their covering fsync.
-  virtual bool DurabilityInstant() const = 0;
-  /// Runs `fn` once everything persisted so far is fsynced — inline when
-  /// it already is (always, for instant durability).
-  virtual void WhenDurable(std::function<void()> fn) = 0;
-  /// Highest entry index covered by a completed fsync (the whole log for
-  /// instant durability).
+  // ---- Durability barrier: the one ack gate ----
+  /// Runs `fn` once everything persisted so far is covered by a completed
+  /// fsync. Every action that claims durability goes through here: the
+  /// candidacy broadcast, vote grants, follower strong accepts and the
+  /// leader's own commit vote. When nothing awaits an fsync (always,
+  /// unless a simulated disk is attached) `fn` runs inline before any type
+  /// erasure, so the gate costs one virtual call and no allocation.
+  template <typename Fn>
+  void WhenDurable(Fn&& fn) {
+    if (!DurabilityPending()) {
+      fn();
+      return;
+    }
+    ParkUntilDurable(std::function<void()>(std::forward<Fn>(fn)));
+  }
+  /// True while some persisted record still awaits its covering fsync.
+  virtual bool DurabilityPending() const = 0;
+  /// WhenDurable's slow path: parks `fn` until the fsync covering
+  /// everything persisted so far completes.
+  virtual void ParkUntilDurable(std::function<void()> fn) = 0;
+  /// Whether a crash can tear records this node already appended off its
+  /// log: a simulated disk drops un-fsynced appends and repairs corrupt
+  /// tails away. Instant storage syncs inline and modelled durability
+  /// never forgets, so there a log end never regresses. A policy input,
+  /// not an ack gate: the leader sizes a stagnant follower's forced resync
+  /// by it (every replica of a cluster runs the same storage model).
+  virtual bool CrashCanTearAppends() const { return false; }
+  /// Highest entry index covered by a completed fsync (the whole log
+  /// without a simulated disk).
   virtual storage::LogIndex DurableEntryFrontier() const = 0;
   /// A write or fsync against the durable log failed: surface it (leader
   /// steps down, follower halts) instead of aborting the process.

@@ -187,10 +187,13 @@ class RaftNode : public NodeContext {
   void PersistSnapshot(storage::LogIndex index, storage::Term term,
                        const std::string& data, bool installed) override;
   void PersistCompact(storage::LogIndex upto) override;
-  bool DurabilityInstant() const override { return durability_->instant(); }
-  void WhenDurable(std::function<void()> fn) override {
+  bool DurabilityPending() const override {
+    return durability_->pending_records() > 0;
+  }
+  void ParkUntilDurable(std::function<void()> fn) override {
     durability_->WhenDurable(std::move(fn));
   }
+  bool CrashCanTearAppends() const override { return !durability_->instant(); }
   storage::LogIndex DurableEntryFrontier() const override;
   void OnStorageFailure(const Status& status) override;
   void ClearHealQuarantine() override;

@@ -118,31 +118,6 @@ void ReplicationPipeline::IndexAndReplicate(ClientRequest req) {
     }
   }
   const int required = RequiredStrong(k > 0, k);
-  if (ctx_->DurabilityInstant()) {
-    ctx_->applier()->vote_list().AddTuple(entry.index, entry.term, ctx_->id(),
-                                          required);
-    core.strong_ack_frontier =
-        std::max(core.strong_ack_frontier, entry.index);
-  } else {
-    // Fsync-gated self-vote: the leader's local append only counts toward
-    // the quorum once its own disk has fsynced it.
-    ctx_->applier()->vote_list().AddTuple(entry.index, entry.term,
-                                          net::kInvalidNode, required);
-    const uint64_t epoch = core.epoch;
-    const storage::LogIndex index = entry.index;
-    const storage::Term term = entry.term;
-    ctx_->WhenDurable([this, epoch, index, term]() {
-      CoreState& c = ctx_->core();
-      if (c.crashed || epoch != c.epoch || c.role != Role::kLeader ||
-          c.current_term != term) {
-        return;
-      }
-      c.strong_ack_frontier = std::max(c.strong_ack_frontier, index);
-      ctx_->applier()->CommitIndices(
-          ctx_->applier()->vote_list().AddStrongUpTo(index, ctx_->id(),
-                                                     c.current_term));
-    });
-  }
 
   if (k > 0) {
     // Fragment the payload. Benchmarks model the coder's cost and shard
@@ -180,19 +155,7 @@ void ReplicationPipeline::IndexAndReplicate(ClientRequest req) {
   } else {
     ReplicateEntry(entry);
   }
-
-  // Single-node cluster (or solo-voter config): the leader's own append is
-  // the whole quorum (with a simulated disk the deferred self-vote above
-  // commits it instead).
-  MembershipEngine* m = ctx_->membership();
-  const bool solo_quorum = (m != nullptr && m->active())
-                               ? m->QuorumSatisfied({ctx_->id()})
-                               : ctx_->peer_ids().empty();
-  if (solo_quorum && ctx_->DurabilityInstant()) {
-    const auto committed = ctx_->applier()->vote_list().AddStrongUpTo(
-        entry.index, ctx_->id(), core.current_term);
-    ctx_->applier()->CommitIndices(committed);
-  }
+  ctx_->applier()->AddLeaderVote(entry.index, entry.term, required);
 }
 
 // ---------------------------------------------------------------------------
@@ -553,20 +516,17 @@ void ReplicationPipeline::MaybeCatchUpPeer(net::NodeId peer,
     // continuation — waiting for the normal pipeline would deadlock when
     // the backlog predates this leader's peer state.
     start = std::max(follower_last + 1, log.FirstIndex());
-    if (ctx_->DurabilityInstant()) {
-      end = std::min(log.LastIndex(),
-                     start + 4 * ctx_->options().dispatchers_per_follower);
-    } else {
-      // Durable recovery can regress a follower's log end *below* the
-      // delivered-and-acked frontier (a repaired corrupt tail), leaving
-      // an arbitrarily large hole no pipeline copy will ever refill.
-      // The delivery bookkeeping is untrustworthy below max_enqueued, so
-      // resync the whole range from the follower's reported position,
-      // exactly like a log-mismatch rejection would. (Kept to the small
-      // burst in instant mode, where log ends never regress and the
-      // bounded re-send is always enough.)
-      end = log.LastIndex();
-    }
+    // Where a crash can tear appended records, a follower's log end can
+    // regress *below* the delivered-and-acked frontier (a repaired corrupt
+    // tail), leaving an arbitrarily large hole no pipeline copy will ever
+    // refill. The delivery bookkeeping is untrustworthy below
+    // max_enqueued, so resync the whole range from the follower's reported
+    // position, exactly like a log-mismatch rejection would. Elsewhere log
+    // ends never regress and the bounded burst is always enough.
+    end = ctx_->CrashCanTearAppends()
+              ? log.LastIndex()
+              : std::min(log.LastIndex(),
+                         start + 4 * ctx_->options().dispatchers_per_follower);
     ps.last_advance_at = ctx_->Now();  // Back off between forced bursts.
   }
   for (storage::LogIndex i = start; i <= end; ++i) {

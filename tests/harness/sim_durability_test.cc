@@ -11,6 +11,7 @@
 
 #include "harness/cluster.h"
 #include "storage/sim_disk.h"
+#include "tests/common/temp_path.h"
 #include "tests/raft/test_cluster.h"
 
 namespace nbraft::harness {
@@ -131,8 +132,7 @@ TEST(SimDurabilityTest, SnapshotsCoexistWithSimDisk) {
 TEST(SimDurabilityTest, SnapshotsCoexistWithWalDir) {
   // The formerly-rejected combination: a real WAL file plus snapshot
   // compaction. Snapshot/compact markers make the WAL self-contained.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "sim_durability_waldir_test";
+  const auto dir = test_util::TestTempPath("sim_durability_waldir");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
@@ -191,6 +191,36 @@ TEST(SimDurabilityTest, CorruptionQuarantinesUntilHealedFromLeader) {
   EXPECT_FALSE(node->disk()->heal_scar());
   EXPECT_TRUE(cluster.CheckCommittedPrefixes().ok());
   EXPECT_GT(node->commit_index(), 0);
+}
+
+TEST(SimDurabilityTest, SoloLeaderCommitsOnlyAfterItsFsync) {
+  // A one-node cluster is its own quorum: the leader's self-vote is the
+  // commit. Without a disk it completes inline; on a simulated disk it
+  // waits for the fsync covering the no-op.
+  for (const bool disk : {false, true}) {
+    ClusterConfig config = SmallConfig(Protocol::kRaft, 1, 1, 77);
+    config.disk.enabled = disk;
+    config.disk.fsync_latency = Micros(100);
+    Cluster cluster(config);
+    cluster.Start();
+    raft::RaftNode* node = cluster.node(0);
+    node->TriggerElection();
+    ASSERT_EQ(node->role(), raft::Role::kLeader);
+    const storage::LogIndex noop = node->log().LastIndex();
+    if (!disk) {
+      EXPECT_EQ(node->commit_index(), noop);
+      EXPECT_EQ(node->strong_ack_frontier(), noop);
+      continue;
+    }
+    EXPECT_EQ(node->commit_index(), 0);
+    cluster.RunFor(Micros(50));  // The first barrier is still in flight.
+    EXPECT_EQ(node->commit_index(), 0);
+    EXPECT_LT(node->strong_ack_frontier(), noop);
+    cluster.RunFor(Micros(400));  // The barrier covering the no-op landed.
+    EXPECT_EQ(node->commit_index(), noop);
+    EXPECT_EQ(node->strong_ack_frontier(), noop);
+    EXPECT_GT(node->stats().fsyncs_completed, 0u);
+  }
 }
 
 TEST(SimDurabilityTest, DiskRunsAreDeterministic) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "harness/cluster.h"
+#include "tests/common/temp_path.h"
 #include "tests/raft/test_cluster.h"
 
 namespace nbraft::harness {
@@ -18,9 +19,7 @@ using raft_test::SmallConfig;
 class WalRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("wal_recovery_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)));
+    dir_ = test_util::TestTempPath("wal_recovery");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -174,6 +174,28 @@ TEST(VoteListTest, CollectCommittableRespectsTermRule) {
             (std::vector<storage::LogIndex>{1}));
 }
 
+TEST(VoteListTest, AddStrongAtVotesOneTupleAndCommitsItsPrefix) {
+  VoteList vl;
+  for (storage::LogIndex i = 1; i <= 3; ++i) {
+    vl.AddTuple(i, 1, net::kInvalidNode, kQuorum3);
+  }
+  vl.AddStrongUpTo(3, 2, 1);  // Follower 2 holds 1..3.
+  // The leader's vote for 1 commits 1 alone and leaves 2 and 3 untouched.
+  EXPECT_EQ(vl.AddStrongAt(1, kLeader, 1),
+            (std::vector<storage::LogIndex>{1}));
+  EXPECT_EQ(vl.Find(2)->strong.count(kLeader), 0u);
+  EXPECT_EQ(vl.AddStrongAt(2, kLeader, 1),
+            (std::vector<storage::LogIndex>{2}));
+  // An unsatisfied tuple commits nothing; an already committed one is a
+  // no-op.
+  vl.AddTuple(4, 1, net::kInvalidNode, kQuorum3);
+  EXPECT_TRUE(vl.AddStrongAt(4, kLeader, 1).empty());
+  EXPECT_TRUE(vl.AddStrongAt(1, kLeader, 1).empty());
+  EXPECT_EQ(vl.AddStrongAt(3, kLeader, 1),
+            (std::vector<storage::LogIndex>{3}));
+  EXPECT_TRUE(vl.Contains(4));
+}
+
 TEST(VoteListTest, StrongForFutureIndexIgnored) {
   VoteList vl;
   vl.AddTuple(10, 1, 0, kQuorum3);

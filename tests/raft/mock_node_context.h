@@ -1,6 +1,7 @@
 #ifndef NBRAFT_TESTS_RAFT_MOCK_NODE_CONTEXT_H_
 #define NBRAFT_TESTS_RAFT_MOCK_NODE_CONTEXT_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -93,8 +94,10 @@ class MockNodeContext : public raft::NodeContext {
   void PersistSnapshot(storage::LogIndex, storage::Term, const std::string&,
                        bool) override {}
   void PersistCompact(storage::LogIndex) override {}
-  bool DurabilityInstant() const override { return true; }
-  void WhenDurable(std::function<void()> fn) override { fn(); }
+  bool DurabilityPending() const override { return hold_durability; }
+  void ParkUntilDurable(std::function<void()> fn) override {
+    parked_.push_back(std::move(fn));
+  }
   storage::LogIndex DurableEntryFrontier() const override {
     return log_.LastIndex();
   }
@@ -140,9 +143,22 @@ class MockNodeContext : public raft::NodeContext {
     return out;
   }
 
+  /// Completes the held "fsync": runs every parked WhenDurable
+  /// continuation in order. Continuations that park again while
+  /// hold_durability is still set wait for the next release.
+  void ReleaseDurable() {
+    std::vector<std::function<void()>> ready;
+    ready.swap(parked_);
+    for (std::function<void()>& fn : ready) fn();
+  }
+
   std::vector<SentMessage> sent;
   /// Every PersistConfig call, in order (encoded roster, effective index).
   std::vector<std::pair<std::string, storage::LogIndex>> persisted_configs;
+  /// While set, every WhenDurable continuation parks until ReleaseDurable()
+  /// — a disk whose covering fsync is still in flight. Clear (the
+  /// default), they run inline, as with no disk attached.
+  bool hold_durability = false;
 
  private:
   sim::Simulator* sim_;
@@ -164,6 +180,7 @@ class MockNodeContext : public raft::NodeContext {
   std::unique_ptr<raft::CommitApplier> applier_;
   std::unique_ptr<raft::MembershipEngine> membership_;
   std::unique_ptr<raft::RecoveryStm> recovery_;
+  std::vector<std::function<void()>> parked_;
 };
 
 }  // namespace nbraft::raft_test

@@ -15,6 +15,7 @@
 #include "common/buffer.h"
 #include "storage/durable_log.h"
 #include "storage/log_entry.h"
+#include "tests/common/temp_path.h"
 
 namespace nbraft::storage {
 namespace {
@@ -24,10 +25,8 @@ namespace fs = std::filesystem;
 class CrashPointSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string tag =
-        std::to_string(reinterpret_cast<uintptr_t>(this));
-    full_ = fs::temp_directory_path() / ("crash_sweep_full_" + tag + ".wal");
-    cut_ = fs::temp_directory_path() / ("crash_sweep_cut_" + tag + ".wal");
+    full_ = test_util::TestTempPath("crash_sweep_full", ".wal");
+    cut_ = test_util::TestTempPath("crash_sweep_cut", ".wal");
     fs::remove(full_);
     fs::remove(cut_);
   }

@@ -4,15 +4,15 @@
 
 #include <filesystem>
 
+#include "tests/common/temp_path.h"
+
 namespace nbraft::storage {
 namespace {
 
 class DurableLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("durable_log_" +
-             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".wal");
+    path_ = test_util::TestTempPath("durable_log", ".wal");
     std::filesystem::remove(path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }

@@ -7,15 +7,15 @@
 #include <fstream>
 #include <vector>
 
+#include "tests/common/temp_path.h"
+
 namespace nbraft::storage {
 namespace {
 
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("wal_test_" +
-             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log");
+    path_ = test_util::TestTempPath("wal_test", ".log");
     std::filesystem::remove(path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }
