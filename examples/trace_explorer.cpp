@@ -1,16 +1,18 @@
 // Per-entry lifecycle tracing, side by side for Raft and NB-Raft: runs
-// both protocols with the tracer + telemetry sampler attached, exports
-// Chrome trace_event JSON (open in chrome://tracing or
+// both protocols with the tracer, journal and telemetry sampler attached,
+// exports Chrome trace_event JSON (open in chrome://tracing or
 // https://ui.perfetto.dev) plus a JSONL dump, and then validates the
 // traces themselves:
 //
-//   1. per-phase span totals agree with the end-of-run Breakdown the
+//   1. nothing was evicted: every span and every journal event is in the
+//      export,
+//   2. per-phase span totals agree with the end-of-run Breakdown the
 //      cluster collects from its nodes and clients (within 1%), and
-//   2. at least one entry's spans cover the full Table I lifecycle,
+//   3. at least one entry's spans cover the full Table I lifecycle,
 //      t_gen(C) through t_apply(L).
 //
-// Exits non-zero if either check fails, so it doubles as an acceptance
-// test for the observability layer.
+// Exits non-zero if any check fails, so it doubles as an acceptance test
+// for the observability layer.
 //
 //   ./build/examples/trace_explorer [output_dir]
 
@@ -19,10 +21,11 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/cluster.h"
 #include "metrics/breakdown.h"
-#include "obs/names.h"
 #include "obs/tracer.h"
 #include "raft/types.h"
 
@@ -31,39 +34,36 @@ using namespace nbraft;
 namespace {
 
 struct TraceReport {
+  bool complete = true;  ///< No span or journal event was evicted.
   bool parity_ok = true;
   bool coverage_ok = false;
   int covered_entries = 0;  ///< Entries whose spans span all 11 phases.
 };
 
-// Joins client-keyed spans (request_id) with replication-keyed spans
-// (log index) through the leader's `raft.entry_indexed` instant and counts
-// entries
-// whose union covers every phase.
+// Joins client-keyed spans (request_id) with replication-keyed spans (log
+// index) through the spans that carry both keys (t_trans(LF), t_wait(F),
+// t_append(F), t_apply(L)) and counts entries whose union covers every
+// phase.
 // Fsync spans only exist when a simulated disk is configured (this run has
 // none), so "fully covered" means the lifecycle phases before kFsync.
 constexpr int kLifecyclePhases = static_cast<int>(metrics::Phase::kFsync);
 
-int CountFullyCoveredEntries(const obs::Tracer& tracer) {
+int CountFullyCoveredEntries(const std::vector<obs::SpanEvent>& spans) {
   std::map<uint64_t, std::set<int>> by_request;
   std::map<int64_t, std::set<int>> by_index;
-  for (const obs::SpanEvent& s : tracer.spans()) {
+  std::set<std::pair<int64_t, uint64_t>> entries;  // (index, request id)
+  for (const obs::SpanEvent& s : spans) {
     const int phase = static_cast<int>(s.phase);
     if (s.request_id != 0) by_request[s.request_id].insert(phase);
     if (s.index != 0) by_index[s.index].insert(phase);
+    if (s.request_id != 0 && s.index != 0) {
+      entries.emplace(s.index, s.request_id);
+    }
   }
   int covered = 0;
-  for (const obs::InstantEvent& e : tracer.instants()) {
-    if (std::string_view(e.name) != obs::names::kEntryIndexed) continue;
-    // arg0 = log index, arg1 = request id.
-    std::set<int> phases;
-    if (auto it = by_request.find(static_cast<uint64_t>(e.arg1));
-        it != by_request.end()) {
-      phases = it->second;
-    }
-    if (auto it = by_index.find(e.arg0); it != by_index.end()) {
-      phases.insert(it->second.begin(), it->second.end());
-    }
+  for (const auto& [index, request_id] : entries) {
+    std::set<int> phases = by_request[request_id];
+    phases.insert(by_index[index].begin(), by_index[index].end());
     if (static_cast<int>(phases.size()) >= kLifecyclePhases) ++covered;
   }
   return covered;
@@ -81,6 +81,8 @@ TraceReport Explore(raft::Protocol protocol, const std::string& out_dir) {
   config.trace_path = out_dir + "/" + tag + ".trace.json";
   config.trace_jsonl_path = out_dir + "/" + tag + ".trace.jsonl";
   config.sample_interval = Millis(1);
+  // Deep enough that the leader's ring keeps every RPC of the run.
+  config.journal_capacity = 1 << 17;
 
   harness::Cluster cluster(config);
   cluster.Start();
@@ -101,24 +103,30 @@ TraceReport Explore(raft::Protocol protocol, const std::string& out_dir) {
   }
 
   const obs::Tracer& tracer = *cluster.tracer();
+  const obs::Journal& journal = *cluster.journal();
+  const std::vector<obs::SpanEvent> spans = tracer.spans();
   const harness::ClusterStats stats = cluster.Collect();
 
   std::printf("== %s ==\n", tag.c_str());
-  std::printf("  wrote %s (%zu spans, %zu instants, %zu samples)\n",
-              config.trace_path.c_str(), tracer.span_count(),
-              tracer.instant_count(), cluster.sampler()->samples().size());
-  if (tracer.spans_dropped() != 0) {
-    std::printf("  (ring evicted %llu spans; totals below remain exact)\n",
-                static_cast<unsigned long long>(tracer.spans_dropped()));
+  std::printf("  wrote %s (%zu spans, %llu instants, %zu samples)\n",
+              config.trace_path.c_str(), spans.size(),
+              static_cast<unsigned long long>(journal.events_recorded()),
+              cluster.sampler()->samples().size());
+  TraceReport report;
+  if (tracer.spans_dropped() != 0 || journal.events_dropped() != 0) {
+    std::printf("  rings evicted %llu spans and %llu journal events\n",
+                static_cast<unsigned long long>(tracer.spans_dropped()),
+                static_cast<unsigned long long>(journal.events_dropped()));
+    report.complete = false;
   }
   std::printf("  committed=%llu completed=%llu\n",
               static_cast<unsigned long long>(stats.entries_committed_leader),
               static_cast<unsigned long long>(stats.requests_completed));
 
-  // Check 1: the trace's per-phase totals reproduce the collected
+  // Check 2: the trace's per-phase totals reproduce the collected
   // breakdown within 1%.
-  TraceReport report;
-  const metrics::Breakdown& traced = tracer.SpanBreakdown();
+  metrics::Breakdown traced;
+  for (const obs::SpanEvent& s : spans) traced.Add(s.phase, s.duration());
   std::printf("  %-12s %14s %14s\n", "phase", "trace total", "breakdown");
   for (int i = 0; i < metrics::kNumPhases; ++i) {
     const auto phase = static_cast<metrics::Phase>(i);
@@ -132,8 +140,8 @@ TraceReport Explore(raft::Protocol protocol, const std::string& out_dir) {
                 ok ? "" : "  <-- MISMATCH");
   }
 
-  // Check 2: at least one entry is traced across the entire lifecycle.
-  report.covered_entries = CountFullyCoveredEntries(tracer);
+  // Check 3: at least one entry is traced across the entire lifecycle.
+  report.covered_entries = CountFullyCoveredEntries(spans);
   report.coverage_ok = report.covered_entries > 0;
   std::printf("  entries covering all %d phases: %d\n\n", kLifecyclePhases,
               report.covered_entries);
@@ -148,6 +156,10 @@ int main(int argc, char** argv) {
   for (const raft::Protocol protocol :
        {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
     const TraceReport report = Explore(protocol, out_dir);
+    if (!report.complete) {
+      std::fprintf(stderr, "FAIL: trace rings evicted events\n");
+      ok = false;
+    }
     if (!report.parity_ok) {
       std::fprintf(stderr, "FAIL: trace/breakdown totals diverge >1%%\n");
       ok = false;

@@ -8,47 +8,6 @@
 
 namespace nbraft::chaos {
 
-namespace {
-
-/// Tracer instant name for an action. Instant names must be string
-/// literals (the tracer stores the pointer), hence this mapping onto the
-/// canonical obs::names chaos vocabulary.
-const char* InstantName(FaultKind kind, bool heal) {
-  if (heal) {
-    return (kind == FaultKind::kCrash || kind == FaultKind::kCrashLeader)
-               ? obs::names::kChaosRestart
-               : obs::names::kChaosHeal;
-  }
-  switch (kind) {
-    case FaultKind::kCrash:
-    case FaultKind::kCrashLeader:
-      return obs::names::kChaosCrash;
-    case FaultKind::kPartition:
-    case FaultKind::kOneWayPartition:
-    case FaultKind::kLinkFlap:
-      return obs::names::kChaosPartition;
-    case FaultKind::kDropStorm:
-    case FaultKind::kDelayStorm:
-      return obs::names::kChaosStorm;
-    case FaultKind::kClockSkew:
-      return obs::names::kChaosSkew;
-    case FaultKind::kSlowNode:
-      return obs::names::kChaosSlow;
-    case FaultKind::kDiskStall:
-    case FaultKind::kDiskCorruption:
-      return obs::names::kChaosDisk;
-    case FaultKind::kDisruptiveServer:
-    case FaultKind::kVoteWithholder:
-    case FaultKind::kElectionStorm:
-      return obs::names::kChaosAdversary;
-    case FaultKind::kMembershipChurn:
-      return obs::names::kChaosFault;
-  }
-  return obs::names::kChaosFault;
-}
-
-}  // namespace
-
 Nemesis::Nemesis(harness::Cluster* cluster, ChaosPlan plan)
     : cluster_(cluster), plan_(std::move(plan)), rng_(plan_.seed) {
   NBRAFT_CHECK_GE(plan_.max_gap, plan_.min_gap);
@@ -153,9 +112,6 @@ void Nemesis::Record(FaultKind kind, bool heal, net::NodeId a, net::NodeId b,
   record.param = param;
   records_.push_back(record);
   NBRAFT_LOG(Debug) << "nemesis: " << FaultRecordToString(record);
-  if (obs::Tracer* tracer = cluster_->tracer()) {
-    tracer->RecordInstant(InstantName(kind, heal), a, b, param);
-  }
   if (obs::Journal* journal = cluster_->journal()) {
     journal->Record(heal ? obs::JournalEventKind::kNemesisHeal
                          : obs::JournalEventKind::kNemesisFault,

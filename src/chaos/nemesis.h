@@ -10,7 +10,6 @@
 #include "harness/cluster.h"
 #include "net/network.h"
 #include "obs/registry.h"
-#include "obs/tracer.h"
 #include "sim/simulator.h"
 
 namespace nbraft::chaos {
@@ -22,9 +21,10 @@ namespace nbraft::chaos {
 /// by the plan. Each fault schedules its own heal; Stop() + HealAll()
 /// restores the cluster to nominal regardless of what was active.
 ///
-/// Every action is appended to `records()` (the fault schedule), emitted
-/// as a `chaos_*` tracer instant when the cluster is traced, and counted
-/// in the cluster registry (`chaos_<kind>` / `chaos_heals`).
+/// Every action is appended to `records()` (the fault schedule), recorded
+/// as a `chaos.fault_inject` / `chaos.fault_heal` journal event when the
+/// cluster is journaled, and counted in the cluster registry
+/// (`chaos.<kind>` / `chaos.heals_total`).
 class Nemesis {
  public:
   Nemesis(harness::Cluster* cluster, ChaosPlan plan);

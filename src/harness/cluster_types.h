@@ -123,7 +123,8 @@ struct ClusterConfig {
   // ---- Observability ----
 
   /// Enables the per-entry lifecycle tracer (implied by a non-empty
-  /// trace path). Off by default: untraced runs pay a single null check.
+  /// trace path) and, for its point events, the journal with the clients
+  /// wired in. Off by default: untraced runs pay a single null check.
   bool trace = false;
 
   /// Where WriteTraces() puts the Chrome trace_event JSON ("" = skip).
@@ -137,17 +138,18 @@ struct ClusterConfig {
   /// depth / in-flight RPCs / NIC bytes (0 = sampler off).
   SimDuration sample_interval = 0;
 
-  /// Ring-buffer capacities for the tracer.
+  /// Span ring-buffer capacity for the tracer.
   size_t trace_span_capacity = 1 << 20;
-  size_t trace_instant_capacity = 1 << 18;
 
-  /// Enables the cluster flight recorder: one fixed ring of structured
-  /// protocol events per node (role/term changes, decoded RPCs, window
-  /// transitions, commit/apply advances, disk barriers, chaos faults).
-  /// Off by default — an untraced run pays one null check per hook.
+  /// Enables the cluster flight recorder (implied by `trace`): one fixed
+  /// ring of structured protocol events per node (role/term changes,
+  /// elections, decoded RPCs, window transitions, commit/apply advances,
+  /// disk barriers, chaos faults). Off by default — an unjournaled run
+  /// pays one null check per hook.
   bool journal = false;
 
-  /// Events retained per node ring (plus one shared cluster ring).
+  /// Events retained per node ring (plus one shared cluster ring and one
+  /// client ring).
   size_t journal_capacity = 1 << 14;
 
   /// Mirror every sampled series into a Gorilla-compressed SeriesStore

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/names.h"
 
 namespace nbraft::net {
 
@@ -73,19 +72,11 @@ SimTime SimNetwork::Send(NodeId from, NodeId to, size_t bytes,
   if (IsDown(pfrom) || IsDown(pto) || LinkBlocked(pfrom, pto) ||
       rng_.NextBool(config_.drop_probability)) {
     ++stats_.messages_dropped;
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant(obs::names::kMsgDrop, from, to,
-                             static_cast<int64_t>(bytes));
-    }
     if (journal_ != nullptr) {
       journal_->Record(obs::JournalEventKind::kRpcDrop, from, to, -1,
                        static_cast<int64_t>(bytes));
     }
     return -1;
-  }
-  if (tracer_ != nullptr) {
-    tracer_->RecordInstant(obs::names::kMsgSend, from, to,
-                           static_cast<int64_t>(bytes));
   }
 
   const SimTime now = sim_->Now();
@@ -145,10 +136,6 @@ void SimNetwork::Deliver(Message&& msg) {
   --stats_.messages_in_flight;
   if (IsDown(PhysicalOf(msg.to))) {
     ++stats_.messages_dropped;
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant(obs::names::kMsgDrop, msg.from, msg.to,
-                             static_cast<int64_t>(msg.bytes));
-    }
     if (journal_ != nullptr) {
       journal_->Record(obs::JournalEventKind::kRpcDrop, msg.from, msg.to,
                        -1, static_cast<int64_t>(msg.bytes));
@@ -158,10 +145,6 @@ void SimNetwork::Deliver(Message&& msg) {
   MessageHandler* handler = handlers_.Find(msg.to);
   if (handler == nullptr || !*handler) {
     ++stats_.messages_dropped;
-    if (tracer_ != nullptr) {
-      tracer_->RecordInstant(obs::names::kMsgDrop, msg.from, msg.to,
-                             static_cast<int64_t>(msg.bytes));
-    }
     if (journal_ != nullptr) {
       journal_->Record(obs::JournalEventKind::kRpcDrop, msg.from, msg.to,
                        -1, static_cast<int64_t>(msg.bytes));
@@ -169,10 +152,6 @@ void SimNetwork::Deliver(Message&& msg) {
     return;
   }
   ++stats_.messages_delivered;
-  if (tracer_ != nullptr) {
-    tracer_->RecordInstant(obs::names::kMsgRecv, msg.to, msg.from,
-                           static_cast<int64_t>(msg.bytes));
-  }
   (*handler)(std::move(msg));
 }
 

@@ -12,7 +12,6 @@
 #include "common/sim_time.h"
 #include "net/payload.h"
 #include "obs/journal.h"
-#include "obs/tracer.h"
 #include "sim/simulator.h"
 
 namespace nbraft::net {
@@ -147,17 +146,12 @@ class SimNetwork {
   void set_extra_delay(SimDuration d) { extra_delay_ = d; }
   SimDuration extra_delay() const { return extra_delay_; }
 
-  /// Attaches the lifecycle tracer (nullptr = off, the default). Emits
-  /// `net_send` / `net_recv` / `net_drop` instants; drop instants always
-  /// record (sender, receiver) in that order, whether the drop happens at
-  /// send time or delivery time. Purely observational: delivery order and
-  /// timing are unaffected.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
   /// Attaches the cluster flight recorder (nullptr = off, the default).
-  /// The network records only drops — kRpcDrop with (from, to, bytes) —
+  /// The network records only drops — kRpcDrop with (from, to, bytes),
+  /// sender first whether the drop happens at send or delivery time —
   /// because sends/receives are journaled, with their decoded RPC type, by
-  /// the consensus layer.
+  /// the endpoints. Purely observational: delivery order and timing are
+  /// unaffected.
   void set_journal(obs::Journal* journal) { journal_ = journal; }
 
   uint64_t messages_sent() const { return stats_.messages_sent; }
@@ -235,7 +229,6 @@ class SimNetwork {
   std::unordered_map<uint64_t, SimDuration> pair_latency_;
   SimDuration extra_delay_ = 0;
   nbraft::Rng rng_;
-  obs::Tracer* tracer_ = nullptr;
   obs::Journal* journal_ = nullptr;
 
   NetStats stats_;

@@ -107,15 +107,18 @@ Status WriteChromeTrace(const std::string& path,
           ToTraceUs(s.start), ToTraceUs(s.end - s.start), s.node,
           static_cast<int>(s.phase), s.term, s.index, s.request_id);
     }
-    for (const InstantEvent& e : inputs.tracer->instants()) {
+  }
+  if (inputs.journal != nullptr) {
+    for (const JournalEvent& e : inputs.journal->MergedEvents()) {
       pids.insert(e.node);
       sep();
       std::fprintf(f.get(),
                    "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\","
                    "\"s\":\"p\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,"
-                   "\"args\":{\"arg0\":%" PRId64 ",\"arg1\":%" PRId64 "}}",
-                   e.name, ToTraceUs(e.at), e.node, kInstantTid, e.arg0,
-                   e.arg1);
+                   "\"args\":{\"peer\":%d,\"a\":%" PRId64 ",\"b\":%" PRId64
+                   "}}",
+                   Journal::KindName(e.kind), ToTraceUs(e.at), e.node,
+                   kInstantTid, e.peer, e.a, e.b);
     }
   }
 
@@ -170,15 +173,25 @@ Status WriteJsonl(const std::string& path, const ExportInputs& inputs) {
     return Status::IoError("cannot open trace file " + path);
   }
 
+  if (inputs.tracer != nullptr || inputs.journal != nullptr) {
+    std::fputs("{\"type\":\"meta\"", f.get());
+    if (inputs.tracer != nullptr) {
+      std::fprintf(f.get(),
+                   ",\"spans_recorded\":%" PRIu64 ",\"spans_dropped\":%" PRIu64,
+                   inputs.tracer->spans_recorded(),
+                   inputs.tracer->spans_dropped());
+    }
+    if (inputs.journal != nullptr) {
+      std::fprintf(f.get(),
+                   ",\"events_recorded\":%" PRIu64
+                   ",\"events_dropped\":%" PRIu64,
+                   inputs.journal->events_recorded(),
+                   inputs.journal->events_dropped());
+    }
+    std::fputs("}\n", f.get());
+  }
   if (inputs.tracer != nullptr) {
-    const Tracer& t = *inputs.tracer;
-    std::fprintf(f.get(),
-                 "{\"type\":\"meta\",\"spans_recorded\":%" PRIu64
-                 ",\"spans_dropped\":%" PRIu64 ",\"instants_recorded\":%" PRIu64
-                 ",\"instants_dropped\":%" PRIu64 "}\n",
-                 t.spans_recorded(), t.spans_dropped(), t.instants_recorded(),
-                 t.instants_dropped());
-    for (const SpanEvent& s : t.spans()) {
+    for (const SpanEvent& s : inputs.tracer->spans()) {
       std::fprintf(f.get(),
                    "{\"type\":\"span\",\"phase\":\"%s\",\"node\":%d,"
                    "\"term\":%" PRId64 ",\"index\":%" PRId64
@@ -187,12 +200,14 @@ Status WriteJsonl(const std::string& path, const ExportInputs& inputs) {
                    std::string(metrics::PhaseNotation(s.phase)).c_str(),
                    s.node, s.term, s.index, s.request_id, s.start, s.end);
     }
-    for (const InstantEvent& e : t.instants()) {
+  }
+  if (inputs.journal != nullptr) {
+    for (const JournalEvent& e : inputs.journal->MergedEvents()) {
       std::fprintf(f.get(),
                    "{\"type\":\"instant\",\"name\":\"%s\",\"node\":%d,"
-                   "\"at_ns\":%" PRId64 ",\"arg0\":%" PRId64
-                   ",\"arg1\":%" PRId64 "}\n",
-                   e.name, e.node, e.at, e.arg0, e.arg1);
+                   "\"peer\":%d,\"at_ns\":%" PRId64 ",\"a\":%" PRId64
+                   ",\"b\":%" PRId64 "}\n",
+                   Journal::KindName(e.kind), e.node, e.peer, e.at, e.a, e.b);
     }
   }
 

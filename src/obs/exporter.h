@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "obs/journal.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
 
@@ -12,7 +13,8 @@ namespace nbraft::obs {
 
 /// What to export. Any member may be nullptr; the exporters skip it.
 struct ExportInputs {
-  const Tracer* tracer = nullptr;
+  const Tracer* tracer = nullptr;    ///< Lifecycle spans.
+  const Journal* journal = nullptr;  ///< Point events.
   const Registry* registry = nullptr;
   const Sampler* sampler = nullptr;
 
@@ -23,13 +25,14 @@ struct ExportInputs {
 
 /// Writes a Chrome `trace_event` JSON file loadable in chrome://tracing or
 /// https://ui.perfetto.dev. Spans become "X" (complete) events — one track
-/// per (endpoint, phase) — instants become "i" events, and sampler series
-/// become "C" counter tracks. Virtual-time nanoseconds map to trace
-/// microseconds.
+/// per (endpoint, phase) — journal events become "i" instants named by
+/// their Journal::KindName, and sampler series become "C" counter tracks.
+/// Virtual-time nanoseconds map to trace microseconds.
 Status WriteChromeTrace(const std::string& path, const ExportInputs& inputs);
 
 /// Writes a flat JSONL dump (one JSON object per line, `type` field keyed)
-/// for scripts: spans, instants, samples, counters, gauges.
+/// for scripts: a meta line with the span and journal ring counters, then
+/// spans, instants (journal events), samples, counters, gauges.
 Status WriteJsonl(const std::string& path, const ExportInputs& inputs);
 
 /// Writes a Prometheus text-format (v0.0.4) snapshot: counters, gauges,

@@ -5,66 +5,21 @@
 
 namespace nbraft::obs::names {
 
-/// Canonical metric / trace / journal vocabulary.
+/// Canonical metric / journal vocabulary.
 ///
-/// Every user-visible observability name — tracer instants, registry
-/// counters and gauges, sampler pull sources, and journal event kinds —
-/// follows one scheme:
+/// Every user-visible observability name — registry counters and gauges,
+/// sampler pull sources, and journal event kinds — follows one scheme:
 ///
 ///     subsystem.noun_verb[.nodeN]
 ///
 /// where `subsystem` is one of {net, raft, election, storage, client,
 /// chaos, sim, membership}
 /// and the optional `.nodeN` suffix scopes a per-replica series. The
-/// constants below are the single source of truth: call sites reference
-/// them instead of re-typing string literals, and the conformance test
-/// (tests/obs/journal_test.cc) walks kAllNames to pin the scheme. DESIGN
-/// section "2e. Observability pipeline" documents each name's meaning.
-
-// ---- Tracer instants ----
-inline constexpr char kEntryIndexed[] = "raft.entry_indexed";
-inline constexpr char kMsgSend[] = "net.msg_send";
-inline constexpr char kMsgRecv[] = "net.msg_recv";
-inline constexpr char kMsgDrop[] = "net.msg_drop";
-inline constexpr char kWindowInsert[] = "raft.window_insert";
-inline constexpr char kWindowEvict[] = "raft.window_evict";
-inline constexpr char kWindowFlush[] = "raft.window_flush";
-inline constexpr char kElectionStart[] = "raft.election_start";
-inline constexpr char kLeaderElected[] = "raft.leader_elected";
-inline constexpr char kClientRetryAll[] = "client.retry_all";
-inline constexpr char kClientWeakAccept[] = "client.weak_accept";
-inline constexpr char kClientStrongAccept[] = "client.strong_accept";
-
-// ---- Election-mitigation instants (PreVote / lease / CheckQuorum) ----
-inline constexpr char kPreVoteStart[] = "election.prevote_start";
-inline constexpr char kPreVoteGrant[] = "election.prevote_grant";
-inline constexpr char kPreVoteReject[] = "election.prevote_reject";
-inline constexpr char kLeaseReject[] = "election.lease_reject";
-inline constexpr char kQuorumLost[] = "election.quorum_lost";
-
-// ---- Chaos instants (nemesis fault / heal markers) ----
-inline constexpr char kChaosCrash[] = "chaos.crash_inject";
-inline constexpr char kChaosRestart[] = "chaos.node_restart";
-inline constexpr char kChaosPartition[] = "chaos.partition_inject";
-inline constexpr char kChaosStorm[] = "chaos.storm_inject";
-inline constexpr char kChaosSkew[] = "chaos.skew_inject";
-inline constexpr char kChaosSlow[] = "chaos.slow_inject";
-inline constexpr char kChaosDisk[] = "chaos.disk_inject";
-inline constexpr char kChaosHeal[] = "chaos.fault_heal";
-inline constexpr char kChaosFault[] = "chaos.fault_inject";
-/// Protocol-level adversaries (disruptive server, vote withholder,
-/// election storm) — attacks on the protocol itself rather than the
-/// environment.
-inline constexpr char kChaosAdversary[] = "chaos.adversary_inject";
-
-// ---- Membership events (dynamic reconfiguration journal kinds) ----
-inline constexpr char kConfigPropose[] = "membership.config_propose";
-inline constexpr char kConfigJoint[] = "membership.joint_enter";
-inline constexpr char kConfigCommit[] = "membership.config_commit";
-inline constexpr char kLearnerAdd[] = "membership.learner_add";
-inline constexpr char kLearnerPromote[] = "membership.learner_promote";
-inline constexpr char kTransferStart[] = "membership.transfer_start";
-inline constexpr char kTransferDone[] = "membership.transfer_done";
+/// constants below are the single source of truth for registry and sampler
+/// names; journal kinds are named by obs::Journal::KindName. The
+/// conformance tests (tests/obs/journal_test.cc) walk both to pin the
+/// scheme. DESIGN section "2e. Observability pipeline" documents each
+/// name's meaning.
 
 // ---- Registry counters ----
 inline constexpr char kChaosFaultsInjected[] = "chaos.faults_injected";
@@ -89,29 +44,10 @@ inline constexpr char kIoQueueDepth[] = "sim.io_queue_depth";
 
 /// Every fixed name above, for the scheme-conformance test.
 inline constexpr const char* kAllNames[] = {
-    kEntryIndexed,       kMsgSend,
-    kMsgRecv,            kMsgDrop,
-    kWindowInsert,       kWindowEvict,
-    kWindowFlush,        kElectionStart,
-    kLeaderElected,      kClientRetryAll,
-    kClientWeakAccept,   kClientStrongAccept,
-    kPreVoteStart,       kPreVoteGrant,
-    kPreVoteReject,      kLeaseReject,
-    kQuorumLost,         kChaosAdversary,
-    kChaosCrash,         kChaosRestart,
-    kChaosPartition,     kChaosStorm,
-    kChaosSkew,          kChaosSlow,
-    kChaosDisk,          kChaosHeal,
-    kChaosFault,         kChaosFaultsInjected,
-    kChaosHealsTotal,    kWindowOccupancy,
-    kCommitIndexMax,     kApplyLag,
-    kDispatcherQueueDepth, kRpcsInflight,
-    kNicBytesSent,       kBarriersPending,
-    kReplicationLag,     kCpuQueueDepth,
-    kIoQueueDepth,       kConfigPropose,
-    kConfigJoint,        kConfigCommit,
-    kLearnerAdd,         kLearnerPromote,
-    kTransferStart,      kTransferDone,
+    kChaosFaultsInjected, kChaosHealsTotal,      kWindowOccupancy,
+    kCommitIndexMax,      kApplyLag,             kDispatcherQueueDepth,
+    kRpcsInflight,        kNicBytesSent,         kBarriersPending,
+    kReplicationLag,      kCpuQueueDepth,        kIoQueueDepth,
 };
 
 inline constexpr size_t kAllNamesCount =

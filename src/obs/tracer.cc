@@ -4,11 +4,9 @@
 
 namespace nbraft::obs {
 
-Tracer::Tracer(const sim::Simulator* sim, Options options) : sim_(sim) {
-  NBRAFT_CHECK_GT(options.span_capacity, 0u);
-  NBRAFT_CHECK_GT(options.instant_capacity, 0u);
-  span_ring_.resize(options.span_capacity);
-  instant_ring_.resize(options.instant_capacity);
+Tracer::Tracer(size_t span_capacity) {
+  NBRAFT_CHECK_GT(span_capacity, 0u);
+  span_ring_.resize(span_capacity);
 }
 
 void Tracer::RecordSpan(metrics::Phase phase, int32_t node, int64_t term,
@@ -20,34 +18,12 @@ void Tracer::RecordSpan(metrics::Phase phase, int32_t node, int64_t term,
       SpanEvent{phase, node, term, index, request_id, start, end};
   span_head_ = (span_head_ + 1) % span_ring_.size();
   ++spans_recorded_;
-  span_totals_.Add(phase, end - start);
-}
-
-void Tracer::RecordInstant(const char* name, int32_t node, int64_t arg0,
-                           int64_t arg1) {
-  if (!enabled_) return;
-  RecordInstantAt(name, node, sim_ != nullptr ? sim_->Now() : 0, arg0, arg1);
-}
-
-void Tracer::RecordInstantAt(const char* name, int32_t node, SimTime at,
-                             int64_t arg0, int64_t arg1) {
-  if (!enabled_) return;
-  if (instants_recorded_ >= instant_ring_.size()) ++instants_dropped_;
-  instant_ring_[instant_head_] = InstantEvent{name, node, at, arg0, arg1};
-  instant_head_ = (instant_head_ + 1) % instant_ring_.size();
-  ++instants_recorded_;
 }
 
 size_t Tracer::span_count() const {
   return spans_recorded_ < span_ring_.size()
              ? static_cast<size_t>(spans_recorded_)
              : span_ring_.size();
-}
-
-size_t Tracer::instant_count() const {
-  return instants_recorded_ < instant_ring_.size()
-             ? static_cast<size_t>(instants_recorded_)
-             : instant_ring_.size();
 }
 
 std::vector<SpanEvent> Tracer::spans() const {
@@ -63,26 +39,10 @@ std::vector<SpanEvent> Tracer::spans() const {
   return out;
 }
 
-std::vector<InstantEvent> Tracer::instants() const {
-  std::vector<InstantEvent> out;
-  const size_t n = instant_count();
-  out.reserve(n);
-  const size_t start =
-      instants_recorded_ < instant_ring_.size() ? 0 : instant_head_;
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(instant_ring_[(start + i) % instant_ring_.size()]);
-  }
-  return out;
-}
-
 void Tracer::Clear() {
   span_head_ = 0;
   spans_recorded_ = 0;
   spans_dropped_ = 0;
-  instant_head_ = 0;
-  instants_recorded_ = 0;
-  instants_dropped_ = 0;
-  span_totals_.Reset();
 }
 
 }  // namespace nbraft::obs

@@ -6,15 +6,15 @@
 
 #include "common/sim_time.h"
 #include "metrics/breakdown.h"
-#include "sim/simulator.h"
 
 namespace nbraft::obs {
 
 /// One completed lifecycle phase of a replicated entry: the paper's Table I
 /// taxonomy stamped with virtual time. Spans on the client path (before the
-/// leader assigns a slot) carry only `request_id`; spans from the leader's
-/// indexing step onward carry (term, index). The `raft.entry_indexed`
-/// instant event joins the two key spaces.
+/// leader assigns a slot) carry only `request_id`; replication spans carry
+/// (term, index), and those that handle the entry itself (t_trans(LF),
+/// t_wait(F), t_append(F), t_apply(L)) carry the request id as well, which
+/// joins the two key spaces.
 struct SpanEvent {
   metrics::Phase phase = metrics::Phase::kNumPhases;
   int32_t node = -1;        ///< Replica id or client endpoint id.
@@ -27,40 +27,16 @@ struct SpanEvent {
   SimDuration duration() const { return end - start; }
 };
 
-/// A point event: network send/recv/drop, window insert/evict/flush,
-/// elections, client-side WEAK/STRONG accepts. `name` must be a string
-/// literal (the tracer stores the pointer, not a copy). The two integer
-/// arguments are event-specific; DESIGN.md documents each event's meaning.
-struct InstantEvent {
-  const char* name = "";
-  int32_t node = -1;
-  SimTime at = 0;
-  int64_t arg0 = 0;
-  int64_t arg1 = 0;
-};
-
-/// Records per-entry lifecycle spans and point events into fixed-capacity
-/// ring buffers. Recording is O(1) with no allocation after construction;
-/// when a buffer is full the oldest event is overwritten (dropped counters
-/// track the loss). A disabled tracer turns every Record* into a single
-/// branch, and the rest of the codebase holds `Tracer*` that is simply
-/// nullptr when tracing is off — zero cost on the hot paths.
-///
-/// Per-phase duration totals are accumulated at record time, so
-/// `SpanBreakdown()` stays exact even after ring-buffer eviction and can be
-/// checked against the end-of-run `metrics::Breakdown` (the trace_explorer
-/// acceptance check).
+/// Records per-entry lifecycle spans into a fixed-capacity ring buffer.
+/// Recording is O(1) with no allocation after construction; when the
+/// buffer is full the oldest span is overwritten (a dropped counter tracks
+/// the loss). The rest of the codebase holds a `Tracer*` that is simply
+/// nullptr when tracing is off — zero cost on the hot paths. Point events
+/// (elections, RPCs, window transitions, nemesis actions) are not spans:
+/// they go to the obs::Journal.
 class Tracer {
  public:
-  struct Options {
-    size_t span_capacity = 1 << 20;
-    size_t instant_capacity = 1 << 18;
-  };
-
-  /// `sim` provides the virtual clock for instants; may be nullptr in unit
-  /// tests that pass explicit timestamps.
-  explicit Tracer(const sim::Simulator* sim) : Tracer(sim, Options{}) {}
-  Tracer(const sim::Simulator* sim, Options options);
+  explicit Tracer(size_t span_capacity = 1 << 20);
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -72,48 +48,21 @@ class Tracer {
                   int64_t index, uint64_t request_id, SimTime start,
                   SimTime end);
 
-  /// Stamped with the simulator's current virtual time.
-  void RecordInstant(const char* name, int32_t node, int64_t arg0 = 0,
-                     int64_t arg1 = 0);
-
-  /// Explicit-timestamp variant (tests, or callers without a simulator).
-  void RecordInstantAt(const char* name, int32_t node, SimTime at,
-                       int64_t arg0 = 0, int64_t arg1 = 0);
-
-  // ---- Introspection / export ----
-
-  /// Retained events, oldest first.
+  /// Retained spans, oldest first.
   std::vector<SpanEvent> spans() const;
-  std::vector<InstantEvent> instants() const;
 
-  size_t span_count() const;     ///< Retained (<= capacity).
-  size_t instant_count() const;
+  size_t span_count() const;  ///< Retained (<= capacity).
   uint64_t spans_recorded() const { return spans_recorded_; }
   uint64_t spans_dropped() const { return spans_dropped_; }
-  uint64_t instants_recorded() const { return instants_recorded_; }
-  uint64_t instants_dropped() const { return instants_dropped_; }
-
-  /// Exact per-phase duration totals over every span ever recorded
-  /// (eviction-proof).
-  const metrics::Breakdown& SpanBreakdown() const { return span_totals_; }
 
   void Clear();
 
  private:
-  const sim::Simulator* sim_;
   bool enabled_ = true;
-
   std::vector<SpanEvent> span_ring_;
   size_t span_head_ = 0;  ///< Next write position.
   uint64_t spans_recorded_ = 0;
   uint64_t spans_dropped_ = 0;
-
-  std::vector<InstantEvent> instant_ring_;
-  size_t instant_head_ = 0;
-  uint64_t instants_recorded_ = 0;
-  uint64_t instants_dropped_ = 0;
-
-  metrics::Breakdown span_totals_;
 };
 
 }  // namespace nbraft::obs

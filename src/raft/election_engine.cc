@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "obs/names.h"
 #include "raft/commit_applier.h"
 #include "raft/follower_ingress.h"
 #include "raft/membership.h"
@@ -98,10 +97,6 @@ void ElectionEngine::StartPreVote() {
   prevotes_received_.insert(ctx_->id());
   NBRAFT_LOG(Info) << "node " << ctx_->id()
                    << " starts pre-vote canvass for term " << prevote_term_;
-  if (ctx_->tracer() != nullptr) {
-    ctx_->tracer()->RecordInstant(obs::names::kPreVoteStart, ctx_->id(),
-                                  static_cast<int64_t>(prevote_term_));
-  }
   if (obs::Journal* j = ctx_->journal(); j != nullptr) {
     j->Record(obs::JournalEventKind::kPreVoteStart, ctx_->id(), -1,
               static_cast<int64_t>(prevote_term_));
@@ -147,10 +142,6 @@ void ElectionEngine::StartElection() {
   ++ctx_->stats().elections_started;
   NBRAFT_LOG(Info) << "node " << ctx_->id() << " starts election, term "
                    << core.current_term;
-  if (ctx_->tracer() != nullptr) {
-    ctx_->tracer()->RecordInstant(obs::names::kElectionStart, ctx_->id(),
-                                  core.current_term);
-  }
   if (obs::Journal* j = ctx_->journal(); j != nullptr) {
     j->Record(obs::JournalEventKind::kTermChange, ctx_->id(), -1,
               static_cast<int64_t>(core.current_term) - 1,
@@ -190,10 +181,6 @@ void ElectionEngine::StartElection() {
 
 void ElectionEngine::SendLeaseReject(const RequestVoteRequest& req) {
   const CoreState& core = ctx_->core();
-  if (ctx_->tracer() != nullptr) {
-    ctx_->tracer()->RecordInstant(obs::names::kLeaseReject, ctx_->id(),
-                                  req.candidate);
-  }
   if (obs::Journal* j = ctx_->journal(); j != nullptr) {
     j->Record(obs::JournalEventKind::kLeaseReject, ctx_->id(),
               static_cast<int32_t>(req.candidate),
@@ -233,11 +220,6 @@ void ElectionEngine::HandlePreVoteRequest(const RequestVoteRequest& req) {
     ++ctx_->stats().prevotes_granted;
   } else {
     ++ctx_->stats().prevotes_rejected;
-  }
-  if (ctx_->tracer() != nullptr) {
-    ctx_->tracer()->RecordInstant(resp.granted ? obs::names::kPreVoteGrant
-                                               : obs::names::kPreVoteReject,
-                                  ctx_->id(), req.candidate);
   }
   if (obs::Journal* j = ctx_->journal(); j != nullptr) {
     j->Record(resp.granted ? obs::JournalEventKind::kPreVoteGrant
@@ -398,10 +380,6 @@ void ElectionEngine::OnCheckQuorumTimeout() {
   NBRAFT_LOG(Info) << "node " << ctx_->id() << " lost quorum contact ("
                    << responsive << " responsive), stepping down in term "
                    << core.current_term;
-  if (ctx_->tracer() != nullptr) {
-    ctx_->tracer()->RecordInstant(obs::names::kQuorumLost, ctx_->id(),
-                                  core.current_term);
-  }
   if (obs::Journal* j = ctx_->journal(); j != nullptr) {
     j->Record(obs::JournalEventKind::kQuorumLost, ctx_->id(), -1,
               static_cast<int64_t>(core.current_term), responsive);
@@ -426,10 +404,6 @@ void ElectionEngine::BecomeLeader() {
   ++ctx_->stats().times_elected;
   NBRAFT_LOG(Info) << "node " << ctx_->id() << " elected leader, term "
                    << core.current_term;
-  if (ctx_->tracer() != nullptr) {
-    ctx_->tracer()->RecordInstant(obs::names::kLeaderElected, ctx_->id(),
-                                  core.current_term);
-  }
   if (obs::Journal* j = ctx_->journal(); j != nullptr) {
     j->Record(obs::JournalEventKind::kLeaderElected, ctx_->id(), -1,
               static_cast<int64_t>(core.current_term));

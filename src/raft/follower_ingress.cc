@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/names.h"
 #include "raft/commit_applier.h"
 #include "raft/election_engine.h"
 #include "raft/membership.h"
@@ -25,56 +24,40 @@ void NoteConfigAppended(NodeContext* ctx, const storage::LogEntry& entry) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Window trace adapter
+// Window journal adapter
 // ---------------------------------------------------------------------------
 
-void FollowerIngress::WindowTraceAdapter::OnInsert(storage::LogIndex index,
-                                                   size_t occupancy) {
+void FollowerIngress::WindowJournalAdapter::OnInsert(storage::LogIndex index,
+                                                     size_t occupancy) {
   NodeContext* ctx = ingress_->ctx_;
-  if (obs::Tracer* t = ctx->tracer(); t != nullptr) {
-    t->RecordInstant(obs::names::kWindowInsert, ctx->id(), index,
-                     static_cast<int64_t>(occupancy));
-  }
-  if (obs::Journal* j = ctx->journal(); j != nullptr) {
-    j->Record(obs::JournalEventKind::kWindowInsert, ctx->id(), -1,
-              static_cast<int64_t>(index), static_cast<int64_t>(occupancy));
-  }
+  ctx->journal()->Record(obs::JournalEventKind::kWindowInsert, ctx->id(), -1,
+                         static_cast<int64_t>(index),
+                         static_cast<int64_t>(occupancy));
 }
 
-void FollowerIngress::WindowTraceAdapter::OnEvict(storage::LogIndex index,
-                                                  size_t occupancy) {
+void FollowerIngress::WindowJournalAdapter::OnEvict(storage::LogIndex index,
+                                                    size_t occupancy) {
   NodeContext* ctx = ingress_->ctx_;
-  if (obs::Tracer* t = ctx->tracer(); t != nullptr) {
-    t->RecordInstant(obs::names::kWindowEvict, ctx->id(), index,
-                     static_cast<int64_t>(occupancy));
-  }
-  if (obs::Journal* j = ctx->journal(); j != nullptr) {
-    j->Record(obs::JournalEventKind::kWindowEvict, ctx->id(), -1,
-              static_cast<int64_t>(index), static_cast<int64_t>(occupancy));
-  }
+  ctx->journal()->Record(obs::JournalEventKind::kWindowEvict, ctx->id(), -1,
+                         static_cast<int64_t>(index),
+                         static_cast<int64_t>(occupancy));
 }
 
-void FollowerIngress::WindowTraceAdapter::OnFlush(storage::LogIndex first,
-                                                  size_t count,
-                                                  size_t occupancy) {
+void FollowerIngress::WindowJournalAdapter::OnFlush(storage::LogIndex first,
+                                                    size_t count,
+                                                    size_t occupancy) {
   NodeContext* ctx = ingress_->ctx_;
-  if (obs::Tracer* t = ctx->tracer(); t != nullptr) {
-    t->RecordInstant(obs::names::kWindowFlush, ctx->id(), first,
-                     static_cast<int64_t>(count));
-  }
-  if (obs::Journal* j = ctx->journal(); j != nullptr) {
-    j->Record(obs::JournalEventKind::kWindowFlush, ctx->id(), -1,
-              static_cast<int64_t>(first), static_cast<int64_t>(count));
-  }
+  ctx->journal()->Record(obs::JournalEventKind::kWindowFlush, ctx->id(), -1,
+                         static_cast<int64_t>(first),
+                         static_cast<int64_t>(count));
   (void)occupancy;
 }
 
-void FollowerIngress::OnTracerChanged() {
-  // The adapter fans out to whichever sinks are attached; install it when
-  // either is live so untraced runs keep the no-observer fast path.
-  const bool observed =
-      ctx_->tracer() != nullptr || ctx_->journal() != nullptr;
-  window_.set_observer(observed ? &window_trace_adapter_ : nullptr);
+void FollowerIngress::OnJournalChanged() {
+  // Installed only while a journal is attached, so unjournaled runs keep
+  // the window's no-observer fast path.
+  window_.set_observer(ctx_->journal() != nullptr ? &window_journal_adapter_
+                                                  : nullptr);
 }
 
 void FollowerIngress::OnCrash() {

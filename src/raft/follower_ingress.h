@@ -21,7 +21,7 @@ class FollowerIngress {
   explicit FollowerIngress(NodeContext* ctx)
       : ctx_(ctx),
         window_(ctx->options().window_size),
-        window_trace_adapter_(this) {}
+        window_journal_adapter_(this) {}
 
   void HandleAppendEntries(AppendEntriesRequest req, SimTime received_at);
   void HandleInstallSnapshot(InstallSnapshotRequest req);
@@ -32,10 +32,10 @@ class FollowerIngress {
   void AdvanceFollowerCommit(storage::LogIndex leader_commit,
                              storage::LogIndex verified_up_to);
 
-  /// Re-attaches / detaches the window's trace observer after the node's
-  /// tracer changed (detached when untraced, so the window keeps its
+  /// Re-attaches / detaches the window's journal observer after the node's
+  /// journal changed (detached when unjournaled, so the window keeps its
   /// zero-overhead fast path).
-  void OnTracerChanged();
+  void OnJournalChanged();
 
   /// Crash-stop cleanup: window, held entries and receive times are
   /// volatile.
@@ -55,10 +55,10 @@ class FollowerIngress {
     SimTime received_at = 0;
   };
 
-  /// Forwards window transitions to the tracer.
-  class WindowTraceAdapter : public SlidingWindow::Observer {
+  /// Forwards window transitions to the journal.
+  class WindowJournalAdapter : public SlidingWindow::Observer {
    public:
-    explicit WindowTraceAdapter(FollowerIngress* ingress)
+    explicit WindowJournalAdapter(FollowerIngress* ingress)
         : ingress_(ingress) {}
     void OnInsert(storage::LogIndex index, size_t occupancy) override;
     void OnEvict(storage::LogIndex index, size_t occupancy) override;
@@ -100,7 +100,7 @@ class FollowerIngress {
   bool in_recheck_ = false;
   /// Receive time of window-cached entries, for t_wait(F) accounting.
   std::unordered_map<storage::LogIndex, SimTime> recv_time_;
-  WindowTraceAdapter window_trace_adapter_;
+  WindowJournalAdapter window_journal_adapter_;
 };
 
 }  // namespace nbraft::raft

@@ -11,7 +11,6 @@
 #include "metrics/breakdown.h"
 #include "net/network.h"
 #include "obs/journal.h"
-#include "obs/tracer.h"
 #include "raft/node_stats.h"
 #include "raft/types.h"
 #include "sim/cpu_executor.h"
@@ -87,7 +86,6 @@ class NodeContext {
   virtual const RaftOptions& options() const = 0;
   virtual nbraft::Rng& rng() = 0;
   virtual NodeStats& stats() = 0;
-  virtual obs::Tracer* tracer() const = 0;
   /// The cluster flight recorder, or nullptr (the default) when the run
   /// is not journaled — every hook is then a single branch. Non-pure so
   /// engine-level mocks don't have to implement it.

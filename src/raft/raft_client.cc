@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/names.h"
 
 namespace nbraft::raft {
 
@@ -48,6 +47,11 @@ void RaftClient::ResetMeasurement() {
 void RaftClient::HandleMessage(net::Message&& msg) {
   if (stopped_) return;
   if (auto* resp = msg.payload.Get<ClientResponse>()) {
+    if (journal_ != nullptr) {
+      journal_->Record(obs::JournalEventKind::kRpcRecv, id_, msg.from,
+                       static_cast<int64_t>(obs::JournalRpc::kClientResponse),
+                       static_cast<int64_t>(msg.bytes));
+    }
     HandleResponse(*resp);
   }
 }
@@ -94,13 +98,22 @@ void RaftClient::ScheduleNextRequest() {
 
 void RaftClient::IssueRequest(PendingRequest req, bool is_retry) {
   (void)is_retry;
+  inflight_ = std::move(req);
+  has_inflight_ = true;
+  SendRequest(inflight_);
+}
+
+void RaftClient::SendRequest(const PendingRequest& req) {
   ClientRequest wire;
   wire.client = id_;
   wire.request_id = req.request_id;
   wire.payload = req.payload;
-  inflight_ = std::move(req);
-  has_inflight_ = true;
   const size_t bytes = wire.WireSize();
+  if (journal_ != nullptr) {
+    journal_->Record(obs::JournalEventKind::kRpcSend, id_, leader_guess_,
+                     static_cast<int64_t>(obs::JournalRpc::kClientRequest),
+                     static_cast<int64_t>(bytes));
+  }
   network_->Send(id_, leader_guess_, bytes, std::move(wire));
   ArmTimeout();
 }
@@ -157,14 +170,7 @@ void RaftClient::ArmTimeout() {
     } else {
       RotateLeaderGuess();
     }
-    // Re-send the same request (same id: at-least-once).
-    ClientRequest wire;
-    wire.client = id_;
-    wire.request_id = target->request_id;
-    wire.payload = target->payload;
-    const size_t bytes = wire.WireSize();
-    network_->Send(id_, leader_guess_, bytes, std::move(wire));
-    ArmTimeout();
+    SendRequest(*target);  // Same id: at-least-once.
   });
 }
 
@@ -179,9 +185,9 @@ void RaftClient::RetryAll(const char* reason) {
   NBRAFT_LOG(Debug) << "client " << id_ << " retries " << op_list_.size()
                     << " weakly accepted requests (" << reason << ")";
   stats_.retries += op_list_.size();
-  if (tracer_ != nullptr) {
-    tracer_->RecordInstant(obs::names::kClientRetryAll, id_,
-                           static_cast<int64_t>(op_list_.size()));
+  if (journal_ != nullptr) {
+    journal_->Record(obs::JournalEventKind::kClientRetryAll, id_, -1,
+                     static_cast<int64_t>(op_list_.size()));
   }
   // Preserve order: older requests retry first.
   while (!op_list_.empty()) {
@@ -211,10 +217,9 @@ void RaftClient::HandleResponse(const ClientResponse& resp) {
       guess_is_fresh_hint_ = false;  // The guess answered: it's confirmed.
       ++stats_.weak_accepts;
       if (options_.record_ack_ids) weak_acked_ids_.insert(resp.request_id);
-      if (tracer_ != nullptr) {
-        tracer_->RecordInstant(obs::names::kClientWeakAccept, id_,
-                               resp.index,
-                               static_cast<int64_t>(resp.request_id));
+      if (journal_ != nullptr) {
+        journal_->Record(obs::JournalEventKind::kClientWeakAccept, id_, -1,
+                         resp.index, static_cast<int64_t>(resp.request_id));
       }
       if (inflight_.measured) {
         stats_.unblock_latency.Record(sim_->Now() - inflight_.issued_at);
@@ -232,10 +237,9 @@ void RaftClient::HandleResponse(const ClientResponse& resp) {
         RetryAll("newer term on strong accept");
         list_term_ = resp.term;
       }
-      if (tracer_ != nullptr) {
-        tracer_->RecordInstant(obs::names::kClientStrongAccept, id_,
-                               resp.index,
-                               static_cast<int64_t>(resp.request_id));
+      if (journal_ != nullptr) {
+        journal_->Record(obs::JournalEventKind::kClientStrongAccept, id_, -1,
+                         resp.index, static_cast<int64_t>(resp.request_id));
       }
       guess_is_fresh_hint_ = false;  // The guess answered: it's confirmed.
       // Sec. III-C2: everything with index <= resp.index is committed.
@@ -295,14 +299,7 @@ void RaftClient::HandleResponse(const ClientResponse& resp) {
         RotateLeaderGuess();
         guess_is_fresh_hint_ = false;
       }
-      // Re-send promptly to the new guess.
-      ClientRequest wire;
-      wire.client = id_;
-      wire.request_id = inflight_.request_id;
-      wire.payload = inflight_.payload;
-      const size_t bytes = wire.WireSize();
-      network_->Send(id_, leader_guess_, bytes, std::move(wire));
-      ArmTimeout();
+      SendRequest(inflight_);  // Re-send promptly to the new guess.
       break;
     }
 

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "metrics/histogram.h"
 #include "net/network.h"
+#include "obs/journal.h"
 #include "obs/tracer.h"
 #include "raft/messages.h"
 #include "raft/types.h"
@@ -108,9 +109,14 @@ class RaftClient {
   }
   const std::set<uint64_t>& weak_acked_ids() const { return weak_acked_ids_; }
 
-  /// Attaches the lifecycle tracer (nullptr = off, the default): t_gen(C)
-  /// spans per request plus WEAK/STRONG-accept and retry instants.
+  /// Attaches the lifecycle tracer (nullptr = off, the default): one
+  /// t_gen(C) span per request.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+
+  /// Attaches the flight recorder (nullptr = off, the default): the
+  /// client's request sends and response receipts, WEAK/STRONG accepts
+  /// and opList retries.
+  void set_journal(obs::Journal* journal) { journal_ = journal; }
 
  private:
   struct PendingRequest {
@@ -128,6 +134,8 @@ class RaftClient {
   void HandleResponse(const ClientResponse& resp);
   void ScheduleNextRequest();
   void IssueRequest(PendingRequest req, bool is_retry);
+  /// Sends `req` to the current leader guess and re-arms the timeout.
+  void SendRequest(const PendingRequest& req);
   void RetryAll(const char* reason);
   void ArmTimeout();
   void RotateLeaderGuess();
@@ -160,6 +168,7 @@ class RaftClient {
   std::deque<PendingRequest> retry_queue_;
 
   obs::Tracer* tracer_ = nullptr;
+  obs::Journal* journal_ = nullptr;
   nbraft::Rng rng_;  ///< Deterministic per-client stream (backoff jitter).
 
   std::set<uint64_t> strong_acked_ids_;

@@ -199,15 +199,9 @@ void RaftNode::BootstrapMembership() {
 // Observability
 // ---------------------------------------------------------------------------
 
-void RaftNode::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  ingress_->OnTracerChanged();
-}
-
 void RaftNode::set_journal(obs::Journal* journal) {
   journal_ = journal;
-  // The window observer serves both sinks; (re)install it.
-  ingress_->OnTracerChanged();
+  ingress_->OnJournalChanged();
 }
 
 void RaftNode::TracePhase(metrics::Phase phase, SimTime start, SimTime end,

@@ -102,14 +102,14 @@ class RaftNode : public NodeContext {
   sim::CpuExecutor* cpu() override { return cpu_; }
 
   /// Attaches the lifecycle tracer (nullptr = off, the default). Every
-  /// phase the node adds to its `Breakdown` is mirrored as a span, and the
-  /// sliding window's insert/evict/flush transitions become instants.
-  void set_tracer(obs::Tracer* tracer);
+  /// phase the node adds to its `Breakdown` is mirrored as a span.
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attaches the cluster flight recorder (nullptr = off, the default).
-  /// Role/term transitions, decoded RPC send/recv, window transitions,
-  /// commit/apply advances, disk write/fsync activity and crash/recovery
-  /// milestones are recorded into the node's journal ring.
+  /// Role/term transitions, elections and their mitigations, decoded RPC
+  /// send/recv, window transitions, commit/apply advances, disk
+  /// write/fsync activity and crash/recovery milestones are recorded into
+  /// the node's journal ring.
   void set_journal(obs::Journal* journal);
 
   using LeaderObserver = ElectionEngine::LeaderObserver;
@@ -172,7 +172,6 @@ class RaftNode : public NodeContext {
     return peers_;
   }
   nbraft::Rng& rng() override { return rng_; }
-  obs::Tracer* tracer() const override { return tracer_; }
   obs::Journal* journal() const override { return journal_; }
   sim::CpuExecutor* index_lane() override { return index_lane_.get(); }
   sim::CpuExecutor* apply_lane() override { return apply_lane_.get(); }

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "craft/reed_solomon.h"
-#include "obs/names.h"
 #include "raft/commit_applier.h"
 #include "raft/election_engine.h"
 #include "raft/membership.h"
@@ -89,13 +88,6 @@ void ReplicationPipeline::IndexAndReplicate(ClientRequest req) {
   ctx_->PersistEntry(entry);
   ++ctx_->stats().entries_appended;
   ctx_->applier()->OnLeaderAppended(entry.index);
-  if (ctx_->tracer() != nullptr) {
-    // Joins the request-keyed client/parse spans with the (term, index)
-    // keyed replication spans.
-    ctx_->tracer()->RecordInstant(obs::names::kEntryIndexed, ctx_->id(),
-                                  entry.index,
-                                  static_cast<int64_t>(entry.request_id));
-  }
 
   // Decide the replication shape (plain / fragmented / degraded).
   const int n = ctx_->cluster_size();

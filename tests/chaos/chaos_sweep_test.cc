@@ -198,12 +198,15 @@ TEST(ChaosObservabilityTest, EmitsInstantsAndCounters) {
   const ChaosReport report = runner.Run();
   EXPECT_TRUE(report.ok()) << report.Summary();
 
-  // Every nemesis action surfaced through the tracer...
+  // Every nemesis action surfaced through the journal a traced run
+  // carries...
   harness::Cluster* cluster = runner.cluster();
-  ASSERT_NE(cluster->tracer(), nullptr);
+  ASSERT_NE(cluster->journal(), nullptr);
   size_t chaos_instants = 0;
-  for (const obs::InstantEvent& e : cluster->tracer()->instants()) {
-    if (std::strncmp(e.name, "chaos.", 6) == 0) ++chaos_instants;
+  for (const obs::JournalEvent& e : cluster->journal()->MergedEvents()) {
+    if (std::strncmp(obs::Journal::KindName(e.kind), "chaos.", 6) == 0) {
+      ++chaos_instants;
+    }
   }
   EXPECT_GT(chaos_instants, 0u);
 

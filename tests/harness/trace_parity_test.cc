@@ -1,7 +1,8 @@
-// Observability must be a pure observer: a traced run (tracer + sampler
-// attached) replays bit-identically to an untraced run of the same seed,
-// and the tracer's running per-phase totals agree with the breakdown the
-// cluster collects from its nodes and clients.
+// Observability must be a pure observer: a traced run (tracer, journal
+// with clients wired in, sampler) replays bit-identically to an untraced
+// run of the same seed, and the per-phase totals of the recorded spans
+// agree with the breakdown the cluster collects from its nodes and
+// clients.
 
 #include <gtest/gtest.h>
 
@@ -73,9 +74,17 @@ TEST_P(TraceParityTest, TracedRunIsBitIdenticalToUntraced) {
       << "tracing must not add, drop, or reorder messages";
   EXPECT_EQ(fa.bytes, fb.bytes);
 
-  // The traced run actually recorded something.
+  // The traced run actually recorded something, clients included.
   ASSERT_NE(b.tracer(), nullptr);
   EXPECT_GT(b.tracer()->spans_recorded(), 0u);
+  ASSERT_NE(b.journal(), nullptr);
+  bool saw_client_accept = false;
+  for (const obs::JournalEvent& e : b.journal()->MergedEvents()) {
+    if (e.kind == obs::JournalEventKind::kClientStrongAccept) {
+      saw_client_accept = true;
+    }
+  }
+  EXPECT_TRUE(saw_client_accept);
   ASSERT_NE(b.sampler(), nullptr);
   EXPECT_GT(b.sampler()->samples().size(), 1u);
 }
@@ -86,7 +95,11 @@ TEST_P(TraceParityTest, TracerTotalsMatchCollectedBreakdown) {
   Cluster cluster(config);
   Drive(cluster);
 
-  const metrics::Breakdown& traced = cluster.tracer()->SpanBreakdown();
+  ASSERT_EQ(cluster.tracer()->spans_dropped(), 0u);
+  metrics::Breakdown traced;
+  for (const obs::SpanEvent& s : cluster.tracer()->spans()) {
+    traced.Add(s.phase, s.duration());
+  }
   const metrics::Breakdown collected = cluster.Collect().breakdown;
   for (int i = 0; i < metrics::kNumPhases; ++i) {
     const auto phase = static_cast<metrics::Phase>(i);

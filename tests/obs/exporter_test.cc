@@ -7,11 +7,12 @@
 #include <sstream>
 #include <string>
 
-#include "obs/names.h"
+#include "obs/journal.h"
 #include "obs/registry.h"
 #include "obs/series_store.h"
 #include "obs/tracer.h"
 #include "sim/simulator.h"
+#include "tests/common/temp_path.h"
 
 namespace nbraft::obs {
 namespace {
@@ -30,7 +31,7 @@ class ExporterTest : public ::testing::Test {
   }
 
   std::string TempPath(const std::string& name) {
-    std::string path = ::testing::TempDir() + "/" + name;
+    std::string path = test_util::TestTempPath(name).string();
     cleanup_.push_back(path);
     return path;
   }
@@ -40,10 +41,11 @@ class ExporterTest : public ::testing::Test {
 
 TEST_F(ExporterTest, ChromeTraceContainsSpansInstantsAndCounters) {
   sim::Simulator sim(1);
-  Tracer tracer(&sim);
+  Tracer tracer;
   tracer.RecordSpan(metrics::Phase::kAppendFollower, 2, 5, 17, 99,
                     Micros(10), Micros(25));
-  tracer.RecordInstantAt(names::kWindowInsert, 2, Micros(12), 17, 3);
+  Journal journal(&sim, 3);
+  journal.RecordAt(Micros(12), JournalEventKind::kWindowInsert, 2, -1, 17, 3);
 
   Registry registry;
   registry.GetCounter("appends")->Increment(4);
@@ -54,6 +56,7 @@ TEST_F(ExporterTest, ChromeTraceContainsSpansInstantsAndCounters) {
 
   ExportInputs inputs;
   inputs.tracer = &tracer;
+  inputs.journal = &journal;
   inputs.registry = &registry;
   inputs.sampler = &sampler;
   inputs.endpoint_name = [](int32_t id) {
@@ -68,8 +71,13 @@ TEST_F(ExporterTest, ChromeTraceContainsSpansInstantsAndCounters) {
   // The span: a complete event with duration 15us on pid 2.
   EXPECT_NE(body.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(body.find("t_append(F)"), std::string::npos);
-  EXPECT_NE(body.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(body.find(names::kWindowInsert), std::string::npos);
+  // The journal event: an instant named by its kind, at 12us on pid 2,
+  // carrying its peer and arguments.
+  EXPECT_NE(body.find("{\"name\":\"raft.window_insert\",\"cat\":\"event\","
+                      "\"ph\":\"i\",\"s\":\"p\",\"ts\":12.000,\"pid\":2,"
+                      "\"tid\":99,\"args\":{\"peer\":-1,\"a\":17,\"b\":3}}"),
+            std::string::npos)
+      << body;
   // Sampler series become counter tracks.
   EXPECT_NE(body.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(body.find("depth"), std::string::npos);
@@ -81,9 +89,15 @@ TEST_F(ExporterTest, ChromeTraceContainsSpansInstantsAndCounters) {
 }
 
 TEST_F(ExporterTest, JsonlEmitsOneObjectPerLine) {
-  Tracer tracer(nullptr);
+  Tracer tracer;
   tracer.RecordSpan(metrics::Phase::kCommit, 0, 1, 2, 3, 0, 100);
-  tracer.RecordInstantAt(names::kMsgSend, 0, 50, 1, 64);
+  Journal::Options options;
+  options.per_node_capacity = 1;
+  Journal journal(nullptr, 1, options);
+  journal.RecordAt(40, JournalEventKind::kRpcSend, 0, 1,
+                   static_cast<int64_t>(JournalRpc::kHeartbeat), 64);
+  journal.RecordAt(50, JournalEventKind::kRpcSend, 0, 1,
+                   static_cast<int64_t>(JournalRpc::kHeartbeat), 64);
 
   Registry registry;
   registry.GetCounter("x")->Increment();
@@ -91,6 +105,7 @@ TEST_F(ExporterTest, JsonlEmitsOneObjectPerLine) {
 
   ExportInputs inputs;
   inputs.tracer = &tracer;
+  inputs.journal = &journal;
   inputs.registry = &registry;
 
   const std::string path = TempPath("trace.jsonl");
@@ -111,10 +126,20 @@ TEST_F(ExporterTest, JsonlEmitsOneObjectPerLine) {
     if (line.find("\"type\":\"meta\"") != std::string::npos) ++metas;
   }
   EXPECT_EQ(spans, 1);
-  EXPECT_EQ(instants, 1);
+  EXPECT_EQ(instants, 1);  // The one-slot ring kept the newer send.
   EXPECT_EQ(counters, 1);
   EXPECT_EQ(gauges, 1);
   EXPECT_EQ(metas, 1);
+  // The meta line makes both rings' truncation visible.
+  EXPECT_EQ(body.find("{\"type\":\"meta\",\"spans_recorded\":1,"
+                      "\"spans_dropped\":0,\"events_recorded\":2,"
+                      "\"events_dropped\":1}\n"),
+            0u)
+      << body;
+  EXPECT_NE(body.find("{\"type\":\"instant\",\"name\":\"net.msg_send\","
+                      "\"node\":0,\"peer\":1,\"at_ns\":50,\"a\":1,\"b\":64}"),
+            std::string::npos)
+      << body;
 }
 
 TEST_F(ExporterTest, EmptyInputsProduceValidFiles) {
@@ -203,7 +228,7 @@ TEST_F(ExporterTest, MetricsJsonEmitsDecodedCompressedSeries) {
 }
 
 TEST_F(ExporterTest, UnwritablePathReturnsIoError) {
-  Tracer tracer(nullptr);
+  Tracer tracer;
   ExportInputs inputs;
   inputs.tracer = &tracer;
   const Status s =

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "metrics/breakdown.h"
-#include "sim/simulator.h"
 
 namespace nbraft::obs {
 namespace {
@@ -11,7 +10,7 @@ namespace {
 using metrics::Phase;
 
 TEST(TracerTest, RecordsSpansInOrder) {
-  Tracer tracer(nullptr);
+  Tracer tracer;
   tracer.RecordSpan(Phase::kParse, 0, 1, 10, 7, 100, 150);
   tracer.RecordSpan(Phase::kIndex, 0, 1, 10, 7, 150, 180);
   tracer.RecordSpan(Phase::kQueue, 0, 1, 10, 7, 180, 400);
@@ -32,11 +31,8 @@ TEST(TracerTest, RecordsSpansInOrder) {
   EXPECT_EQ(tracer.spans_dropped(), 0u);
 }
 
-TEST(TracerTest, RingEvictsOldestAndKeepsBreakdownExact) {
-  Tracer::Options opts;
-  opts.span_capacity = 4;
-  opts.instant_capacity = 4;
-  Tracer tracer(nullptr, opts);
+TEST(TracerTest, RingEvictsOldestAndCountsDropped) {
+  Tracer tracer(/*span_capacity=*/4);
 
   for (int i = 0; i < 6; ++i) {
     tracer.RecordSpan(Phase::kApply, 0, 1, i, 0, i * 10, i * 10 + 5);
@@ -53,80 +49,32 @@ TEST(TracerTest, RingEvictsOldestAndKeepsBreakdownExact) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(spans[static_cast<size_t>(i)].index, i + 2);
   }
-
-  // The running breakdown covers all six spans, not just the retained four.
-  EXPECT_EQ(tracer.SpanBreakdown().total(Phase::kApply), 6 * 5);
-}
-
-TEST(TracerTest, InstantRingEvictsOldest) {
-  Tracer::Options opts;
-  opts.span_capacity = 2;
-  opts.instant_capacity = 2;
-  Tracer tracer(nullptr, opts);
-
-  tracer.RecordInstantAt("a", 0, 1);
-  tracer.RecordInstantAt("b", 0, 2);
-  tracer.RecordInstantAt("c", 0, 3, 42, 43);
-
-  EXPECT_EQ(tracer.instant_count(), 2u);
-  EXPECT_EQ(tracer.instants_recorded(), 3u);
-  EXPECT_EQ(tracer.instants_dropped(), 1u);
-  const auto instants = tracer.instants();
-  ASSERT_EQ(instants.size(), 2u);
-  EXPECT_STREQ(instants[0].name, "b");
-  EXPECT_STREQ(instants[1].name, "c");
-  EXPECT_EQ(instants[1].arg0, 42);
-  EXPECT_EQ(instants[1].arg1, 43);
 }
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {
-  Tracer tracer(nullptr);
+  Tracer tracer;
   tracer.set_enabled(false);
   tracer.RecordSpan(Phase::kParse, 0, 1, 1, 1, 0, 10);
-  tracer.RecordInstantAt("x", 0, 5);
 
   EXPECT_EQ(tracer.span_count(), 0u);
-  EXPECT_EQ(tracer.instant_count(), 0u);
   EXPECT_EQ(tracer.spans_recorded(), 0u);
-  EXPECT_EQ(tracer.instants_recorded(), 0u);
-  EXPECT_EQ(tracer.SpanBreakdown().GrandTotal(), 0);
 
   tracer.set_enabled(true);
   tracer.RecordSpan(Phase::kParse, 0, 1, 1, 1, 0, 10);
   EXPECT_EQ(tracer.span_count(), 1u);
 }
 
-TEST(TracerTest, InstantUsesSimulatorClock) {
-  sim::Simulator sim(1);
-  Tracer tracer(&sim);
-  sim.After(Millis(5), [&]() { tracer.RecordInstant("tick", 3); });
-  sim.RunUntil(Millis(10));
-
-  const auto instants = tracer.instants();
-  ASSERT_EQ(instants.size(), 1u);
-  EXPECT_EQ(instants[0].at, Millis(5));
-  EXPECT_EQ(instants[0].node, 3);
-}
-
 TEST(TracerTest, ClearResetsEverything) {
-  Tracer tracer(nullptr);
-  tracer.RecordSpan(Phase::kAck, 1, 2, 3, 4, 0, 100);
-  tracer.RecordInstantAt("x", 1, 50);
+  Tracer tracer(/*span_capacity=*/2);
+  for (int i = 0; i < 3; ++i) {
+    tracer.RecordSpan(Phase::kAck, 1, 2, 3, 4, 0, 100);
+  }
   tracer.Clear();
 
   EXPECT_EQ(tracer.span_count(), 0u);
-  EXPECT_EQ(tracer.instant_count(), 0u);
+  EXPECT_TRUE(tracer.spans().empty());
   EXPECT_EQ(tracer.spans_recorded(), 0u);
   EXPECT_EQ(tracer.spans_dropped(), 0u);
-  EXPECT_EQ(tracer.SpanBreakdown().GrandTotal(), 0);
-}
-
-TEST(TracerTest, NegativeDurationClampedInBreakdown) {
-  // Breakdown::Add clamps negatives; the span itself keeps raw endpoints.
-  Tracer tracer(nullptr);
-  tracer.RecordSpan(Phase::kAck, 0, 1, 1, 0, 100, 90);
-  EXPECT_EQ(tracer.SpanBreakdown().total(Phase::kAck), 0);
-  EXPECT_EQ(tracer.spans()[0].duration(), -10);
 }
 
 }  // namespace

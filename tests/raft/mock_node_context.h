@@ -67,7 +67,6 @@ class MockNodeContext : public raft::NodeContext {
   const raft::RaftOptions& options() const override { return options_; }
   nbraft::Rng& rng() override { return rng_; }
   raft::NodeStats& stats() override { return stats_; }
-  obs::Tracer* tracer() const override { return nullptr; }
   tsdb::StateMachine* mutable_state_machine() override {
     return state_machine_.get();
   }
