@@ -45,7 +45,9 @@ void ElectionEngine::ArmElectionTimer() {
         static_cast<SimDuration>(static_cast<double>(delay) * timer_skew_), 1);
   }
   const uint64_t epoch = ctx_->core().epoch;
+  election_deadline_ = sim->Now() + delay;
   election_timer_ = sim->After(delay, [this, epoch]() {
+    election_timer_ = sim::kInvalidEventId;  // Fired: no longer armed.
     const CoreState& core = ctx_->core();
     if (core.crashed || epoch != core.epoch || core.role == Role::kLeader) {
       return;
@@ -244,7 +246,11 @@ void ElectionEngine::HandleRequestVote(RequestVoteRequest req) {
     return;
   }
   if (req.term > core.current_term) {
-    StepDown(req.term, net::kInvalidNode);
+    // Adopting the candidate's term is not leader contact: Raft (5.2)
+    // resets the timer only on a grant (below). Re-arming here would let a
+    // short-log candidate's denied request postpone the election of an
+    // up-to-date node.
+    StepDown(req.term, net::kInvalidNode, /*keep_armed_timer=*/true);
   }
   RequestVoteResponse resp;
   resp.term = core.current_term;
@@ -458,7 +464,8 @@ void ElectionEngine::BecomeLeader() {
   }
 }
 
-void ElectionEngine::StepDown(storage::Term term, net::NodeId leader) {
+void ElectionEngine::StepDown(storage::Term term, net::NodeId leader,
+                              bool keep_armed_timer) {
   CoreState& core = ctx_->core();
   const bool was_leader = core.role == Role::kLeader;
   const Role new_role = IsPassive() ? Role::kLearner : Role::kFollower;
@@ -504,7 +511,9 @@ void ElectionEngine::StepDown(storage::Term term, net::NodeId leader) {
   votes_received_.clear();
   transfer_pending_ = false;
   AbortPreVote();
-  ArmElectionTimer();
+  if (!keep_armed_timer || election_timer_ == sim::kInvalidEventId) {
+    ArmElectionTimer();
+  }
 }
 
 void ElectionEngine::NoteLeaderContact(storage::Term term,

@@ -48,6 +48,11 @@ class ElectionEngine {
   /// (regression-pinned by ElectionJitter tests).
   void ArmElectionTimer();
 
+  /// When the armed election timer fires; 0 while none is armed.
+  SimTime election_deadline() const {
+    return election_timer_ == sim::kInvalidEventId ? 0 : election_deadline_;
+  }
+
   /// Election-timer expiry: pre-vote canvass when RaftOptions::pre_vote,
   /// otherwise a real election. TriggerElection (harness bootstrap)
   /// bypasses this and calls StartElection directly.
@@ -70,8 +75,10 @@ class ElectionEngine {
 
   /// Reverts to follower in `term` (> current steps the term forward),
   /// failing pending client entries and resetting the leader-side engines
-  /// when this node was the leader.
-  void StepDown(storage::Term term, net::NodeId leader);
+  /// when this node was the leader. Re-arms the election timer, unless
+  /// `keep_armed_timer` is set and a timer is already running.
+  void StepDown(storage::Term term, net::NodeId leader,
+                bool keep_armed_timer = false);
 
   /// A current-or-newer leader made contact: step down if needed, adopt
   /// the leader hint and reset the election timer (and the lease clock).
@@ -132,6 +139,7 @@ class ElectionEngine {
   NodeContext* ctx_;
   std::set<net::NodeId> votes_received_;
   sim::EventId election_timer_ = sim::kInvalidEventId;
+  SimTime election_deadline_ = 0;
   std::vector<LeaderObserver> leader_observers_;
   double timer_skew_ = 1.0;
 

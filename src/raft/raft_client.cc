@@ -52,7 +52,7 @@ void RaftClient::HandleMessage(net::Message&& msg) {
                        static_cast<int64_t>(obs::JournalRpc::kClientResponse),
                        static_cast<int64_t>(msg.bytes));
     }
-    HandleResponse(*resp);
+    HandleResponse(*resp, msg.from);
   }
 }
 
@@ -196,12 +196,27 @@ void RaftClient::RetryAll(const char* reason) {
   }
 }
 
-void RaftClient::HandleResponse(const ClientResponse& resp) {
+void RaftClient::FollowAccepter(net::NodeId from, const ClientResponse& resp) {
+  // Only a leader sends WEAK/STRONG accepts, so one from another server in
+  // a term no older than ours names the new leader (an older term is a
+  // deposed leader's late reply). A request stranded at the old guess is
+  // resent to it now instead of after the resend timeout.
+  if (from == leader_guess_ || resp.term < list_term_) return;
+  leader_guess_ = from;
+  guess_is_fresh_hint_ = false;
+  if (has_inflight_ && resp.request_id != inflight_.request_id) {
+    SendRequest(inflight_);  // Same id: at-least-once.
+  }
+}
+
+void RaftClient::HandleResponse(const ClientResponse& resp,
+                                net::NodeId from) {
   // Any response means the cluster is reachable again: snap the resend
   // backoff back to its base.
   ResetBackoff();
   switch (resp.state) {
     case AcceptState::kWeakAccept: {
+      FollowAccepter(from, resp);
       // Sec. III-C1: a newer term means earlier WEAK_ACCEPTs may be lost.
       // Checked before the staleness filter so a re-accept of an opList
       // probe under a new leader still triggers the retry.
@@ -233,6 +248,7 @@ void RaftClient::HandleResponse(const ClientResponse& resp) {
     }
 
     case AcceptState::kStrongAccept: {
+      FollowAccepter(from, resp);
       if (resp.term > list_term_) {
         RetryAll("newer term on strong accept");
         list_term_ = resp.term;

@@ -131,7 +131,10 @@ class RaftClient {
   };
 
   void HandleMessage(net::Message&& msg);
-  void HandleResponse(const ClientResponse& resp);
+  void HandleResponse(const ClientResponse& resp, net::NodeId from);
+  /// A WEAK/STRONG accept from `from`: adopt it as the leader guess when
+  /// it is news, resending a stranded in-flight request to it.
+  void FollowAccepter(net::NodeId from, const ClientResponse& resp);
   void ScheduleNextRequest();
   void IssueRequest(PendingRequest req, bool is_retry);
   /// Sends `req` to the current leader guess and re-arms the timeout.

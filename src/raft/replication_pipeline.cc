@@ -172,12 +172,17 @@ void ReplicationPipeline::ReplicateEntry(const storage::LogEntry& entry) {
     }
     const std::vector<net::NodeId>& peers = ctx_->peer_ids();
     const int bucket = EffectiveKBucket();
-    if (bucket > 0) {
-      // KRaft: send to the bucket only; the bucket relays to the rest.
-      const int limit = std::min<int>(bucket, static_cast<int>(peers.size()));
-      for (int i = 0; i < limit; ++i) EnqueueForPeer(peers[i], index);
-    } else {
-      for (net::NodeId peer : peers) EnqueueForPeer(peer, index);
+    // KRaft: send to the bucket only; the bucket relays to the rest.
+    const size_t limit =
+        bucket > 0 ? std::min(static_cast<size_t>(bucket), peers.size())
+                   : peers.size();
+    RecoveryStm* recovery = ctx_->recovery();
+    for (size_t i = 0; i < limit; ++i) {
+      // A learner under catch-up is fed in log order by the recovery STM;
+      // fan-out copies would land far past its window and pin dispatcher
+      // slots until the RPC timeout.
+      if (recovery != nullptr && recovery->Tracking(peers[i])) continue;
+      EnqueueForPeer(peers[i], index);
     }
   };
   if (pre_cost > 0) {
@@ -194,6 +199,7 @@ void ReplicationPipeline::EnqueueForPeer(net::NodeId peer,
   if (ps.queue.count(index) > 0 || ps.in_flight.count(index) > 0) return;
   ps.queue.emplace(index, ctx_->Now());
   ps.max_enqueued = std::max(ps.max_enqueued, index);
+  if (ps.min_enqueued == 0 || index < ps.min_enqueued) ps.min_enqueued = index;
   TryDispatch(peer);
 }
 
@@ -489,6 +495,17 @@ void ReplicationPipeline::MaybeCatchUpPeer(net::NodeId peer,
     SendInstallSnapshot(peer);
     return;
   }
+  if (follower_last + 1 < ps.min_enqueued) {
+    // The follower's log ends below the first entry this leadership sent
+    // it: the gap predates our peer state (a lagging survivor of the old
+    // leader), so no pipeline copy and no mismatch will ever refill it.
+    // Hand it over once, as a mismatch-driven resend would.
+    const storage::LogIndex gap_end = ps.min_enqueued - 1;
+    for (storage::LogIndex i = std::max(follower_last + 1, log.FirstIndex());
+         i <= gap_end; ++i) {
+      EnqueueForPeer(peer, i);
+    }
+  }
   // Only fill in entries never handed to this peer's pipeline: everything
   // at or below max_enqueued is queued, in flight, or already delivered
   // (losses there are retried by the RPC timeout). Without this bound the
@@ -501,12 +518,10 @@ void ReplicationPipeline::MaybeCatchUpPeer(net::NodeId peer,
                start + 4 * ctx_->options().dispatchers_per_follower);
   if (ctx_->Now() - ps.last_advance_at > 2 * ctx_->options().rpc_timeout) {
     // Stagnant: every pipeline copy of the missing entries was consumed
-    // without an append (cached in a window that was since cleared,
-    // dropped from the queues by a leadership change while the follower
-    // was partitioned, or — with durable disks — lost when a corrupted
-    // tail was repaired away on recovery). Force a re-send of the
-    // continuation — waiting for the normal pipeline would deadlock when
-    // the backlog predates this leader's peer state.
+    // without an append (cached in a window that was since cleared, or —
+    // with durable disks — lost when a corrupted tail was repaired away on
+    // recovery). Force a re-send of the continuation — no pipeline copy
+    // of it is left to wait for.
     start = std::max(follower_last + 1, log.FirstIndex());
     // Where a crash can tear appended records, a follower's log end can
     // regress *below* the delivered-and-acked frontier (a repaired corrupt

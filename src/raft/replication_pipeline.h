@@ -96,6 +96,10 @@ class ReplicationPipeline {
     /// fills in above it (the pipeline below is in flight or completed —
     /// losses there are the RPC timeout's job, not catch-up's).
     storage::LogIndex max_enqueued = 0;
+    /// Lowest index this leadership handed to the peer (0 = none yet). The
+    /// max_enqueued bound holds only from here up: entries below it
+    /// predate this leader's peer state and were never sent by it.
+    storage::LogIndex min_enqueued = 0;
     SimTime last_response_at = 0;           ///< Liveness estimate.
     /// Stagnation detection: last log end the follower reported and when
     /// it last advanced. A follower stuck below the commit index (e.g.

@@ -70,6 +70,49 @@ TEST(ElectionEngineTest, RefusesCandidateWithStaleLog) {
   EXPECT_EQ(ctx.core().voted_for, net::kInvalidNode);
 }
 
+TEST(ElectionEngineTest, DeniedHigherTermVoteKeepsTheArmedTimer) {
+  sim::Simulator sim(7);
+  MockNodeContext ctx(&sim, /*id=*/1, {2, 3}, ElectionOptions());
+  ctx.FillLog(3, 2);
+  ctx.election()->ArmElectionTimer();
+  const SimTime deadline = ctx.election()->election_deadline();
+  ASSERT_GT(deadline, 0);
+  sim.RunUntil(Millis(100));
+
+  // A candidate with a shorter log: its term is adopted, the vote denied,
+  // and the timer must keep its deadline (Raft 5.2 resets it only on a
+  // grant or on leader contact).
+  RequestVoteRequest req = VoteRequest(5, 2);
+  req.last_log_index = 1;
+  req.last_log_term = 2;
+  ctx.election()->HandleRequestVote(req);
+  ASSERT_EQ(ctx.SentOfType<RequestVoteResponse>().size(), 1u);
+  EXPECT_FALSE(ctx.SentOfType<RequestVoteResponse>()[0].granted);
+  EXPECT_EQ(ctx.core().current_term, 5);
+  EXPECT_EQ(ctx.election()->election_deadline(), deadline);
+
+  // An up-to-date candidate in a newer term wins the vote and re-arms it.
+  RequestVoteRequest good = VoteRequest(6, 3);
+  good.last_log_index = 3;
+  good.last_log_term = 2;
+  ctx.election()->HandleRequestVote(good);
+  ASSERT_EQ(ctx.SentOfType<RequestVoteResponse>().size(), 2u);
+  EXPECT_TRUE(ctx.SentOfType<RequestVoteResponse>()[1].granted);
+  EXPECT_GE(ctx.election()->election_deadline(),
+            Millis(100) + ctx.options().election_timeout);
+  EXPECT_NE(ctx.election()->election_deadline(), deadline);
+}
+
+TEST(ElectionEngineTest, HigherTermVoteRequestArmsATimerForAFormerLeader) {
+  sim::Simulator sim(7);
+  MockNodeContext ctx(&sim, /*id=*/1, {2, 3}, ElectionOptions());
+  ctx.MakeLeader(3);
+  ASSERT_EQ(ctx.election()->election_deadline(), 0);
+  ctx.election()->HandleRequestVote(VoteRequest(4, 2));
+  EXPECT_EQ(ctx.core().role, Role::kFollower);
+  EXPECT_GT(ctx.election()->election_deadline(), 0);
+}
+
 TEST(ElectionEngineTest, QuorumOfVotesElectsAndMajorityDissentDoesNot) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3, 4, 5}, ElectionOptions());

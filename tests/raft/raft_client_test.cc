@@ -53,14 +53,15 @@ class RaftClientTest : public ::testing::Test {
 
   void Respond(const ClientRequest& req, AcceptState state,
                storage::LogIndex index, storage::Term term,
-               net::NodeId hint = net::kInvalidNode) {
+               net::NodeId hint = net::kInvalidNode,
+               net::NodeId from = kServerA) {
     ClientResponse resp;
     resp.state = state;
     resp.request_id = req.request_id;
     resp.index = index;
     resp.term = term;
     resp.leader_hint = hint;
-    network_->Send(kServerA, kClient, resp.WireSize(), resp);
+    network_->Send(from, kClient, resp.WireSize(), resp);
   }
 
   sim::Simulator sim_;
@@ -236,6 +237,51 @@ TEST_F(RaftClientTest, FreshLeaderHintIsRetriedBeforeRotation) {
   EXPECT_EQ(requests_a_.size(), 1u);
   sim_.RunUntil(Millis(400));
   EXPECT_GE(requests_a_.size(), 2u) << "second timeout falls back to rotation";
+}
+
+TEST_F(RaftClientTest, AcceptFromAnotherServerRedirectsStrandedRequest) {
+  auto client = MakeClient(8);
+  client->Start();
+  sim_.RunUntil(Millis(5));
+  ASSERT_EQ(requests_a_.size(), 1u);
+  Respond(requests_a_[0], AcceptState::kWeakAccept, 1, 1);
+  sim_.RunUntil(Millis(10));
+  ASSERT_EQ(requests_a_.size(), 2u);  // The second request waits on A.
+
+  // A crashes silently; B, now leader, commits the first request. Only a
+  // leader accepts, so the client must follow B and resend the stranded
+  // request there at once, well before the 100 ms resend timeout.
+  Respond(requests_a_[0], AcceptState::kStrongAccept, 1, 1, net::kInvalidNode,
+          kServerB);
+  sim_.RunUntil(Millis(15));
+  ASSERT_EQ(requests_b_.size(), 1u);
+  EXPECT_EQ(requests_b_[0].request_id, requests_a_[1].request_id);
+  EXPECT_EQ(client->stats().timeouts, 0u);
+  EXPECT_EQ(client->stats().requests_completed, 1u);
+
+  // New requests go to B too.
+  Respond(requests_b_[0], AcceptState::kWeakAccept, 2, 1, net::kInvalidNode,
+          kServerB);
+  sim_.RunUntil(Millis(20));
+  ASSERT_EQ(requests_b_.size(), 2u);
+  EXPECT_EQ(requests_a_.size(), 2u);
+}
+
+TEST_F(RaftClientTest, OlderTermAcceptDoesNotMoveLeaderGuess) {
+  auto client = MakeClient(8);
+  client->Start();
+  sim_.RunUntil(Millis(5));
+  ASSERT_EQ(requests_a_.size(), 1u);
+  Respond(requests_a_[0], AcceptState::kWeakAccept, 1, /*term=*/2);
+  sim_.RunUntil(Millis(10));
+  ASSERT_EQ(requests_a_.size(), 2u);
+
+  // A deposed term-1 leader's late reply: B is not the leader of term 2.
+  Respond(requests_a_[0], AcceptState::kStrongAccept, 1, /*term=*/1,
+          net::kInvalidNode, kServerB);
+  sim_.RunUntil(Millis(50));
+  EXPECT_TRUE(requests_b_.empty());
+  EXPECT_EQ(requests_a_.size(), 2u);
 }
 
 TEST_F(RaftClientTest, RecordsAckedRequestIds) {

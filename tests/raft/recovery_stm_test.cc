@@ -170,6 +170,38 @@ TEST(RecoveryStmTest, PromotesOnlyWithinBoundedContiguousLag) {
   EXPECT_EQ(f.ctx.stats().learners_promoted, 1u);
 }
 
+TEST(RecoveryStmTest, TrackedLearnerGetsNoFanOutCopies) {
+  sim::Simulator sim(7);
+  Fixture f(&sim, /*log_entries=*/100);
+  f.ctx.recovery()->StartRecovery(kLearner);
+
+  const auto sent_to = [&f](net::NodeId peer, storage::LogIndex index) {
+    for (const auto& m : f.ctx.sent) {
+      const auto* req = m.payload.Get<AppendEntriesRequest>();
+      if (m.to == peer && req != nullptr && !req->is_heartbeat &&
+          req->entry.index == index) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // A new entry while recovery feeds the learner in log order: the
+  // voters get it, the learner does not (entry 101 would sit far past
+  // its window and pin a dispatcher slot until the RPC timeout).
+  f.ctx.FillLog(1, /*term=*/1);
+  f.ctx.pipeline()->ReplicateEntry(f.ctx.log().AtUnchecked(101));
+  EXPECT_TRUE(sent_to(1, 101));
+  EXPECT_TRUE(sent_to(2, 101));
+  EXPECT_FALSE(sent_to(kLearner, 101));
+
+  // Once recovery lets go, ordinary fan-out resumes.
+  f.ctx.recovery()->StopRecovery(kLearner);
+  f.ctx.FillLog(1, /*term=*/1);
+  f.ctx.pipeline()->ReplicateEntry(f.ctx.log().AtUnchecked(102));
+  EXPECT_TRUE(sent_to(kLearner, 102));
+}
+
 TEST(RecoveryStmTest, RecoveryIsLeaderOnlyState) {
   sim::Simulator sim(7);
   Fixture f(&sim, /*log_entries=*/100);

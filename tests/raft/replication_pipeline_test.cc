@@ -155,6 +155,45 @@ TEST(ReplicationPipelineTest, BatchNeverReachesPastFollowerWindow) {
   EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 3u);  // 6, 7, 8 wait.
 }
 
+AppendEntriesResponse HeartbeatAck(storage::LogIndex last_index) {
+  AppendEntriesResponse hb;
+  hb.term = 2;
+  hb.from = 2;
+  hb.state = AcceptState::kStrongAccept;
+  hb.is_heartbeat = true;
+  hb.last_index = last_index;
+  hb.last_term = 1;
+  return hb;
+}
+
+TEST(ReplicationPipelineTest, LaggingPeerGetsThePreLeadershipGapOnce) {
+  sim::Simulator sim(1);
+  MockNodeContext ctx(&sim, /*id=*/1, {2},
+                      PipelineOptions(/*dispatchers=*/64, 1, /*window=*/64));
+  ctx.FillLog(20, 1);  // The old leader's entries, 1..20.
+  ctx.MakeLeader(2);
+  ctx.FillLog(1, 2);   // This leadership's first entry (the no-op), 21.
+  ctx.pipeline()->EnqueueForPeer(2, 21);
+  ASSERT_EQ(ctx.SentOfType<AppendEntriesRequest>().size(), 1u);
+
+  // The peer reports log end 5: entries 6..20 predate this leadership, so
+  // no copy of them is queued or in flight. Exactly that gap is sent.
+  ctx.pipeline()->HandleAppendResponse(HeartbeatAck(5));
+  auto appends = ctx.SentOfType<AppendEntriesRequest>();
+  ASSERT_EQ(appends.size(), 16u);
+  for (storage::LogIndex i = 6; i <= 20; ++i) {
+    EXPECT_EQ(appends[static_cast<size_t>(i - 5)].entry.index, i);
+  }
+
+  // Stale reports below the refilled range and reports at or above it
+  // enqueue nothing new while those copies are on the wire.
+  ctx.pipeline()->HandleAppendResponse(HeartbeatAck(5));
+  ctx.pipeline()->HandleAppendResponse(HeartbeatAck(12));
+  ctx.pipeline()->HandleAppendResponse(HeartbeatAck(20));
+  EXPECT_EQ(ctx.SentOfType<AppendEntriesRequest>().size(), 16u);
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 0u);
+}
+
 TEST(ReplicationPipelineTest, BatchOfOneIsTheUnbatchedWireForm) {
   sim::Simulator sim(1);
   MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 1, 0));
