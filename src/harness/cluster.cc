@@ -297,18 +297,27 @@ void Cluster::SetupObservability() {
 std::string Cluster::EndpointName(int32_t id) const {
   const int32_t N = config_.num_nodes;
   const int32_t M = config_.num_clients;
+  const char* kind = "node ";
+  int32_t group = -1;
+  int32_t local = id;
   if (id >= net::kClientIdBase) {
-    const int32_t idx = id - net::kClientIdBase;
-    if (config_.num_groups > 1 && M > 0 && idx < config_.num_groups * M) {
-      return "g" + std::to_string(idx / M) + " client " +
-             std::to_string(idx % M);
+    kind = "client ";
+    local = id - net::kClientIdBase;
+    if (config_.num_groups > 1 && M > 0 && local < config_.num_groups * M) {
+      group = local / M;
+      local %= M;
     }
-    return "client " + std::to_string(idx);
+  } else if (config_.num_groups > 1 && id >= 0 &&
+             id < config_.num_groups * N) {
+    group = id / N;
+    local = id % N;
   }
-  if (config_.num_groups > 1 && id >= 0 && id < config_.num_groups * N) {
-    return "g" + std::to_string(id / N) + " node " + std::to_string(id % N);
-  }
-  return "node " + std::to_string(id);
+  // Built with append: GCC 12 flags `"g" + std::to_string(...) + ...`
+  // chains with a -Wrestrict false positive in Release builds.
+  std::string name;
+  if (group >= 0) name.append("g").append(std::to_string(group)).append(" ");
+  name.append(kind).append(std::to_string(local));
+  return name;
 }
 
 Status Cluster::WriteTraces() const {
