@@ -4,8 +4,9 @@
 // counters, network message/byte totals), the disk chaos sweep's
 // per-seed digests (the fsync-gated acknowledgement path on simulated
 // disks), and the observability outputs: the post-mortem JSONL and
-// timeline of an induced safety violation, and the lifecycle span stream
-// of one traced run per protocol.
+// timeline of an induced safety violation, the lifecycle span stream of
+// one traced run per protocol, and that run's export files (Chrome trace,
+// trace JSONL, Prometheus snapshot) with the sampler on.
 //
 // The output is a refactoring contract: any change that claims to be
 // behavior-preserving must reproduce this byte-for-byte. The full-matrix
@@ -192,14 +193,19 @@ void SpanStreamDigest(raft::Protocol protocol, uint64_t seed) {
               static_cast<unsigned long long>(fnv.h), count);
 }
 
-void PrintFileDigest(const char* what, const std::string& path) {
+/// Fnv1a64 of a file's bytes and its line count, as "fnv N lines M".
+std::string FileDigest(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   const std::string body((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
   const size_t lines =
       static_cast<size_t>(std::count(body.begin(), body.end(), '\n'));
-  std::printf("obs postmortem %s: fnv %llu lines %zu\n", what,
-              static_cast<unsigned long long>(Fnv1a64(body)), lines);
+  return "fnv " + std::to_string(Fnv1a64(body)) + " lines " +
+         std::to_string(lines);
+}
+
+void PrintFileDigest(const char* what, const std::string& path) {
+  std::printf("obs postmortem %s: %s\n", what, FileDigest(path).c_str());
 }
 
 // Digests the post-mortem JSONL and timeline the flight recorder dumps
@@ -216,6 +222,34 @@ void PostmortemDigest() {
   } else {
     PrintFileDigest("jsonl", report.postmortem_jsonl);
     PrintFileDigest("timeline", report.postmortem_timeline);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Digests the export files of one traced steady run sampled every 1 ms:
+// the Chrome trace, the trace JSONL and the Prometheus snapshot.
+void ExportDigest(raft::Protocol protocol, uint64_t seed) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("behavior_fingerprint_export_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  harness::ClusterConfig config = SteadyConfig(protocol, seed);
+  config.sample_interval = Millis(1);
+  config.trace_path = (dir / "trace.json").string();
+  config.trace_jsonl_path = (dir / "trace.jsonl").string();
+  harness::Cluster cluster(config);
+  const std::string tag(raft::ProtocolName(protocol));
+  if (!RunSteady(cluster) || !cluster.WriteTraces().ok() ||
+      !cluster.WriteObsBundle(dir.string()).ok()) {
+    std::printf("obs export %-8s seed %llu: FAILED\n", tag.c_str(),
+                static_cast<unsigned long long>(seed));
+  } else {
+    std::printf("obs export %-8s seed %llu: trace %s jsonl %s prom %s\n",
+                tag.c_str(), static_cast<unsigned long long>(seed),
+                FileDigest(config.trace_path).c_str(),
+                FileDigest(config.trace_jsonl_path).c_str(),
+                FileDigest((dir / "metrics.prom").string()).c_str());
   }
   std::filesystem::remove_all(dir);
 }
@@ -274,6 +308,10 @@ int main(int argc, char** argv) {
   for (raft::Protocol protocol :
        {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
     SpanStreamDigest(protocol, 91);
+  }
+  for (raft::Protocol protocol :
+       {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
+    ExportDigest(protocol, 91);
   }
   return 0;
 }
