@@ -111,7 +111,7 @@ TraceReport Explore(raft::Protocol protocol, const std::string& out_dir) {
   std::printf("  wrote %s (%zu spans, %llu instants, %zu samples)\n",
               config.trace_path.c_str(), spans.size(),
               static_cast<unsigned long long>(journal.events_recorded()),
-              cluster.sampler()->samples().size());
+              cluster.sampler()->store().point_count(0));
   TraceReport report;
   if (tracer.spans_dropped() != 0 || journal.events_dropped() != 0) {
     std::printf("  rings evicted %llu spans and %llu journal events\n",

@@ -1,10 +1,8 @@
 #include "chaos/nemesis.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/logging.h"
-#include "obs/names.h"
 
 namespace nbraft::chaos {
 
@@ -116,15 +114,6 @@ void Nemesis::Record(FaultKind kind, bool heal, net::NodeId a, net::NodeId b,
     journal->Record(heal ? obs::JournalEventKind::kNemesisHeal
                          : obs::JournalEventKind::kNemesisFault,
                     a, b, static_cast<int64_t>(kind), param);
-  }
-  if (obs::Registry* registry = cluster_->registry()) {
-    if (heal) {
-      registry->GetCounter(obs::names::kChaosHealsTotal)->Increment();
-    } else {
-      registry->GetCounter(std::string("chaos.") + FaultKindName(kind))
-          ->Increment();
-      registry->GetCounter(obs::names::kChaosFaultsInjected)->Increment();
-    }
   }
 }
 

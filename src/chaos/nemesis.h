@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "harness/cluster.h"
 #include "net/network.h"
-#include "obs/registry.h"
 #include "sim/simulator.h"
 
 namespace nbraft::chaos {
@@ -21,10 +20,9 @@ namespace nbraft::chaos {
 /// by the plan. Each fault schedules its own heal; Stop() + HealAll()
 /// restores the cluster to nominal regardless of what was active.
 ///
-/// Every action is appended to `records()` (the fault schedule), recorded
-/// as a `chaos.fault_inject` / `chaos.fault_heal` journal event when the
-/// cluster is journaled, and counted in the cluster registry
-/// (`chaos.<kind>` / `chaos.heals_total`).
+/// Every action is appended to `records()` (the fault schedule) and
+/// recorded as a `chaos.fault_inject` / `chaos.fault_heal` journal event
+/// when the cluster is journaled.
 class Nemesis {
  public:
   Nemesis(harness::Cluster* cluster, ChaosPlan plan);

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "obs/names.h"
+#include "obs/output_file.h"
 
 namespace nbraft::harness {
 
@@ -142,10 +143,6 @@ Cluster::Cluster(ClusterConfig config)
 Cluster::~Cluster() = default;
 
 void Cluster::SetupObservability() {
-  // The registry always exists: chaos fault counters and other cheap
-  // counters surface even in untraced, unsampled runs.
-  registry_ = std::make_unique<obs::Registry>();
-
   if (config_.journal) {
     obs::Journal::Options jopts;
     jopts.per_node_capacity = config_.journal_capacity;
@@ -191,8 +188,9 @@ void Cluster::SetupObservability() {
   }
 
   if (config_.sample_interval > 0) {
+    sampler_ = std::make_unique<obs::Sampler>(sim(), config_.sample_interval);
     // Cluster-wide aggregates (across every group).
-    registry_->AddSource(obs::names::kWindowOccupancy, [this]() {
+    sampler_->AddSource(obs::names::kWindowOccupancy, [this]() {
       size_t total = 0;
       for (const auto& group : groups_) {
         for (int r = 0; r < group->num_nodes(); ++r) {
@@ -201,7 +199,7 @@ void Cluster::SetupObservability() {
       }
       return static_cast<double>(total);
     });
-    registry_->AddSource(obs::names::kCommitIndexMax, [this]() {
+    sampler_->AddSource(obs::names::kCommitIndexMax, [this]() {
       storage::LogIndex max_commit = 0;
       for (const auto& group : groups_) {
         for (int r = 0; r < group->num_nodes(); ++r) {
@@ -210,7 +208,7 @@ void Cluster::SetupObservability() {
       }
       return static_cast<double>(max_commit);
     });
-    registry_->AddSource(obs::names::kApplyLag, [this]() {
+    sampler_->AddSource(obs::names::kApplyLag, [this]() {
       int64_t lag = 0;
       for (const auto& group : groups_) {
         for (int r = 0; r < group->num_nodes(); ++r) {
@@ -220,7 +218,7 @@ void Cluster::SetupObservability() {
       }
       return static_cast<double>(lag);
     });
-    registry_->AddSource(obs::names::kDispatcherQueueDepth, [this]() {
+    sampler_->AddSource(obs::names::kDispatcherQueueDepth, [this]() {
       size_t total = 0;
       for (const auto& group : groups_) {
         for (int r = 0; r < group->num_nodes(); ++r) {
@@ -229,7 +227,7 @@ void Cluster::SetupObservability() {
       }
       return static_cast<double>(total);
     });
-    registry_->AddSource(obs::names::kRpcsInflight, [this]() {
+    sampler_->AddSource(obs::names::kRpcsInflight, [this]() {
       size_t total = 0;
       for (const auto& group : groups_) {
         for (int r = 0; r < group->num_nodes(); ++r) {
@@ -238,7 +236,7 @@ void Cluster::SetupObservability() {
       }
       return static_cast<double>(total);
     });
-    registry_->AddSource(obs::names::kNicBytesSent, [this]() {
+    sampler_->AddSource(obs::names::kNicBytesSent, [this]() {
       return static_cast<double>(network()->bytes_sent());
     });
 
@@ -252,44 +250,36 @@ void Cluster::SetupObservability() {
         raft::RaftNode* node = grp->node(r);
         const std::string suffix =
             ".node" + std::to_string(node->id());
-        registry_->AddSource(obs::names::kWindowOccupancyNode + suffix,
-                             [node]() {
-                               return static_cast<double>(
-                                   node->window().size());
-                             });
-        registry_->AddSource(
-            obs::names::kBarriersPending + suffix, [node]() {
-              return static_cast<double>(node->PendingBarrierRecords());
-            });
+        sampler_->AddSource(obs::names::kWindowOccupancyNode + suffix,
+                            [node]() {
+                              return static_cast<double>(
+                                  node->window().size());
+                            });
+        sampler_->AddSource(obs::names::kBarriersPending + suffix, [node]() {
+          return static_cast<double>(node->PendingBarrierRecords());
+        });
         // Replication lag is an intra-group notion: distance to the
         // furthest log *within this node's group*.
-        registry_->AddSource(obs::names::kReplicationLag + suffix,
-                             [grp, node]() {
-                               storage::LogIndex max_last = 0;
-                               for (int j = 0; j < grp->num_nodes(); ++j) {
-                                 max_last = std::max(
-                                     max_last, grp->node(j)->log().LastIndex());
-                               }
-                               return static_cast<double>(
-                                   max_last - node->log().LastIndex());
-                             });
-        registry_->AddSource(obs::names::kCpuQueueDepth + suffix, [node]() {
+        sampler_->AddSource(obs::names::kReplicationLag + suffix,
+                            [grp, node]() {
+                              storage::LogIndex max_last = 0;
+                              for (int j = 0; j < grp->num_nodes(); ++j) {
+                                max_last = std::max(
+                                    max_last, grp->node(j)->log().LastIndex());
+                              }
+                              return static_cast<double>(
+                                  max_last - node->log().LastIndex());
+                            });
+        sampler_->AddSource(obs::names::kCpuQueueDepth + suffix, [node]() {
           return static_cast<double>(node->cpu()->outstanding());
         });
-        registry_->AddSource(obs::names::kIoQueueDepth + suffix, [node]() {
+        sampler_->AddSource(obs::names::kIoQueueDepth + suffix, [node]() {
           storage::SimDisk* disk = node->disk();
           return disk == nullptr ? 0.0
                                  : static_cast<double>(
                                        disk->io_lane()->outstanding());
         });
       }
-    }
-
-    sampler_ = std::make_unique<obs::Sampler>(sim(), registry_.get(),
-                                              config_.sample_interval);
-    if (config_.compress_series) {
-      series_store_ = std::make_unique<obs::SeriesStore>();
-      sampler_->set_series_store(series_store_.get());
     }
   }
 }
@@ -325,7 +315,6 @@ Status Cluster::WriteTraces() const {
   obs::ExportInputs inputs;
   inputs.tracer = tracer_.get();
   inputs.journal = journal_.get();
-  inputs.registry = registry_.get();
   inputs.sampler = sampler_.get();
   inputs.endpoint_name = [this](int32_t id) { return EndpointName(id); };
   if (!config_.trace_path.empty()) {
@@ -347,7 +336,6 @@ Status Cluster::WriteObsBundle(const std::string& dir) const {
                            ec.message());
   }
   obs::ExportInputs inputs;
-  inputs.registry = registry_.get();
   inputs.sampler = sampler_.get();
   inputs.endpoint_name = [this](int32_t id) { return EndpointName(id); };
 
@@ -370,11 +358,10 @@ Status Cluster::WriteObsBundle(const std::string& dir) const {
 
   const auto write_file = [](const std::string& path,
                              const std::string& body) -> Status {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return Status::IoError("cannot open " + path);
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    return Status::Ok();
+    obs::OutputFile f(path);
+    if (f.get() == nullptr) return Status::IoError("cannot open " + path);
+    std::fwrite(body.data(), 1, body.size(), f.get());
+    return f.Close();
   };
   s = write_file(dir + "/node_stats.json", NodeStatsJson());
   if (!s.ok()) return s;

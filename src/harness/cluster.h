@@ -15,8 +15,7 @@
 #include "net/network.h"
 #include "obs/exporter.h"
 #include "obs/journal.h"
-#include "obs/registry.h"
-#include "obs/series_store.h"
+#include "obs/sampler.h"
 #include "obs/tracer.h"
 #include "raft/raft_client.h"
 #include "raft/raft_node.h"
@@ -188,13 +187,12 @@ class Cluster {
 
   /// Lifecycle tracer (nullptr unless ClusterConfig enabled tracing).
   obs::Tracer* tracer() { return tracer_.get(); }
-  obs::Registry* registry() { return registry_.get(); }
+  /// Sampler of the cluster's pull sources; its store holds the sampled
+  /// series (nullptr unless ClusterConfig::sample_interval > 0).
   obs::Sampler* sampler() { return sampler_.get(); }
   /// Flight recorder (nullptr unless ClusterConfig::journal).
   obs::Journal* journal() { return journal_.get(); }
   const obs::Journal* journal() const { return journal_.get(); }
-  /// Compressed metric series (nullptr unless sampling + compress_series).
-  obs::SeriesStore* series_store() { return series_store_.get(); }
 
   /// Maps an endpoint id to its display name: "node 2" / "client 17"
   /// single-group, "g1 node 2" / "g1 client 17" sharded.
@@ -256,10 +254,8 @@ class Cluster {
   std::vector<std::unique_ptr<GroupRuntime>> groups_;
 
   std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<obs::Registry> registry_;
   std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<obs::Journal> journal_;
-  std::unique_ptr<obs::SeriesStore> series_store_;
   std::vector<std::function<void(int)>> crash_observers_;
 };
 

@@ -135,7 +135,8 @@ struct ClusterConfig {
   std::string trace_jsonl_path;
 
   /// Telemetry sampling period for window occupancy / commit lag / queue
-  /// depth / in-flight RPCs / NIC bytes (0 = sampler off).
+  /// depth / in-flight RPCs / NIC bytes (0 = sampler off). Samples are kept
+  /// Gorilla-compressed in the sampler's SeriesStore.
   SimDuration sample_interval = 0;
 
   /// Span ring-buffer capacity for the tracer.
@@ -151,11 +152,6 @@ struct ClusterConfig {
   /// Events retained per node ring (plus one shared cluster ring and one
   /// client ring).
   size_t journal_capacity = 1 << 14;
-
-  /// Mirror every sampled series into a Gorilla-compressed SeriesStore
-  /// (the system monitoring itself with its own storage format). Only
-  /// meaningful when sample_interval > 0.
-  bool compress_series = true;
 };
 
 /// Aggregated run metrics (one group's, or — after Merge — a whole

@@ -3,24 +3,17 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <utility>
+#include <vector>
 
-#include "obs/series_store.h"
+#include "obs/output_file.h"
 
 namespace nbraft::obs {
 
 namespace {
 
 constexpr int kInstantTid = 99;  ///< Shared track for point events per pid.
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 double ToTraceUs(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
@@ -58,13 +51,13 @@ PromName ToPromName(const std::string& name) {
   return out;
 }
 
-/// Emits one sample line, prefixing the family's `# TYPE` header the first
+/// Emits one gauge line, prefixing the family's `# TYPE` header the first
 /// time the family appears (families repeat across `.nodeN` series).
 void PromLine(std::FILE* f, std::set<std::string>* typed,
-              const std::string& name, const char* type, double value) {
+              const std::string& name, double value) {
   const PromName p = ToPromName(name);
   if (typed->insert(p.metric).second) {
-    std::fprintf(f, "# TYPE %s %s\n", p.metric.c_str(), type);
+    std::fprintf(f, "# TYPE %s gauge\n", p.metric.c_str());
   }
   if (p.node.empty()) {
     std::fprintf(f, "%s %.17g\n", p.metric.c_str(), value);
@@ -74,12 +67,35 @@ void PromLine(std::FILE* f, std::set<std::string>* typed,
   }
 }
 
+/// Decodes every series of the sampler's store and calls `emit(name,
+/// point)` tick-major: each tick's series in source order, the order the
+/// sampler read them. No-op when `sampler` is nullptr.
+template <typename Emit>
+Status ForEachSample(const Sampler* sampler, const Emit& emit) {
+  if (sampler == nullptr) return Status::Ok();
+  const SeriesStore& store = sampler->store();
+  std::vector<std::vector<tsdb::Point>> series;
+  series.reserve(store.series_count());
+  for (size_t i = 0; i < store.series_count(); ++i) {
+    auto points = store.Decode(i);
+    if (!points.ok()) return points.status();
+    series.push_back(std::move(*points));
+  }
+  const size_t ticks = series.empty() ? 0 : series.front().size();
+  for (size_t t = 0; t < ticks; ++t) {
+    for (size_t i = 0; i < series.size(); ++i) {
+      emit(store.name(i), series[i][t]);
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status WriteChromeTrace(const std::string& path,
                         const ExportInputs& inputs) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) {
+  OutputFile f(path);
+  if (f.get() == nullptr) {
     return Status::IoError("cannot open trace file " + path);
   }
   const auto name_of = Namer(inputs);
@@ -122,19 +138,15 @@ Status WriteChromeTrace(const std::string& path,
     }
   }
 
-  if (inputs.sampler != nullptr) {
-    const auto& names = inputs.sampler->series_names();
-    for (const Sampler::Sample& sample : inputs.sampler->samples()) {
-      for (size_t i = 0; i < names.size() && i < sample.values.size(); ++i) {
+  const Status sampled = ForEachSample(
+      inputs.sampler, [&](const std::string& name, const tsdb::Point& p) {
         sep();
         std::fprintf(f.get(),
                      "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,"
                      "\"args\":{\"value\":%.6g}}",
-                     names[i].c_str(), ToTraceUs(sample.at),
-                     sample.values[i]);
-      }
-    }
-  }
+                     name.c_str(), ToTraceUs(p.timestamp), p.value);
+      });
+  if (!sampled.ok()) return sampled;
 
   // Metadata: human-readable process and track names.
   for (const int32_t pid : pids) {
@@ -161,15 +173,12 @@ Status WriteChromeTrace(const std::string& path,
   }
 
   std::fputs("\n]}\n", f.get());
-  if (std::ferror(f.get()) != 0) {
-    return Status::IoError("write failed for " + path);
-  }
-  return Status::Ok();
+  return f.Close();
 }
 
 Status WriteJsonl(const std::string& path, const ExportInputs& inputs) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) {
+  OutputFile f(path);
+  if (f.get() == nullptr) {
     return Status::IoError("cannot open trace file " + path);
   }
 
@@ -211,145 +220,70 @@ Status WriteJsonl(const std::string& path, const ExportInputs& inputs) {
     }
   }
 
-  if (inputs.sampler != nullptr) {
-    const auto& names = inputs.sampler->series_names();
-    for (const Sampler::Sample& sample : inputs.sampler->samples()) {
-      for (size_t i = 0; i < names.size() && i < sample.values.size(); ++i) {
+  const Status sampled = ForEachSample(
+      inputs.sampler, [&](const std::string& name, const tsdb::Point& p) {
         std::fprintf(f.get(),
                      "{\"type\":\"sample\",\"series\":\"%s\",\"at_ns\":%" PRId64
                      ",\"value\":%.6g}\n",
-                     names[i].c_str(), sample.at, sample.values[i]);
-      }
-    }
-  }
-
-  if (inputs.registry != nullptr) {
-    for (const auto& [name, value] : inputs.registry->CounterValues()) {
-      std::fprintf(f.get(),
-                   "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%" PRId64
-                   "}\n",
-                   name.c_str(), value);
-    }
-    for (const auto& [name, value] : inputs.registry->GaugeValues()) {
-      std::fprintf(f.get(),
-                   "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.6g}\n",
-                   name.c_str(), value);
-    }
-  }
-
-  if (std::ferror(f.get()) != 0) {
-    return Status::IoError("write failed for " + path);
-  }
-  return Status::Ok();
+                     name.c_str(), p.timestamp, p.value);
+      });
+  if (!sampled.ok()) return sampled;
+  return f.Close();
 }
 
 Status WritePrometheusText(const std::string& path,
                            const ExportInputs& inputs) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) {
+  OutputFile f(path);
+  if (f.get() == nullptr) {
     return Status::IoError("cannot open metrics file " + path);
   }
   std::set<std::string> typed;
-  if (inputs.registry != nullptr) {
-    for (const auto& [name, value] : inputs.registry->CounterValues()) {
-      PromLine(f.get(), &typed, name, "counter",
-               static_cast<double>(value));
-    }
-    for (const auto& [name, value] : inputs.registry->GaugeValues()) {
-      PromLine(f.get(), &typed, name, "gauge", value);
-    }
-  }
-  if (inputs.sampler != nullptr && !inputs.sampler->samples().empty()) {
-    const Sampler::Sample& last = inputs.sampler->samples().back();
-    const auto& names = inputs.sampler->series_names();
-    for (size_t i = 0; i < names.size() && i < last.values.size(); ++i) {
-      PromLine(f.get(), &typed, names[i], "gauge", last.values[i]);
+  if (inputs.sampler != nullptr) {
+    const SeriesStore& store = inputs.sampler->store();
+    for (size_t i = 0; i < store.series_count(); ++i) {
+      auto points = store.Decode(i);
+      if (!points.ok()) return points.status();
+      if (points->empty()) continue;
+      PromLine(f.get(), &typed, store.name(i), points->back().value);
     }
   }
-  if (std::ferror(f.get()) != 0) {
-    return Status::IoError("write failed for " + path);
-  }
-  return Status::Ok();
+  return f.Close();
 }
 
 Status WriteMetricsJson(const std::string& path, const ExportInputs& inputs) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) {
+  OutputFile f(path);
+  if (f.get() == nullptr) {
     return Status::IoError("cannot open metrics file " + path);
   }
-  std::fputs("{\"schema\":\"nbraft-obs-metrics-v1\"", f.get());
+  std::fputs("{\"schema\":\"nbraft-obs-metrics-v2\"", f.get());
   if (inputs.sampler != nullptr) {
     std::fprintf(f.get(), ",\"sample_interval_ns\":%" PRId64,
                  inputs.sampler->interval());
   }
 
-  std::fputs(",\"counters\":{", f.get());
-  bool first = true;
-  if (inputs.registry != nullptr) {
-    for (const auto& [name, value] : inputs.registry->CounterValues()) {
-      std::fprintf(f.get(), "%s\"%s\":%" PRId64, first ? "" : ",",
-                   name.c_str(), value);
-      first = false;
-    }
-  }
-  std::fputs("},\"gauges\":{", f.get());
-  first = true;
-  if (inputs.registry != nullptr) {
-    for (const auto& [name, value] : inputs.registry->GaugeValues()) {
-      std::fprintf(f.get(), "%s\"%s\":%.17g", first ? "" : ",",
-                   name.c_str(), value);
-      first = false;
-    }
-  }
-  std::fputs("},\"series\":[", f.get());
-
-  // One entry per sampled series. With a SeriesStore attached the points
-  // are decoded back from the Gorilla chunks (proving the compressed
-  // stream holds the full-resolution data); otherwise the raw sample
-  // stream is used and the compression accounting reads zero.
-  first = true;
+  // One entry per sampled series, decoded back from the Gorilla chunks
+  // (proving the compressed stream holds the full-resolution data).
+  std::fputs(",\"series\":[", f.get());
   if (inputs.sampler != nullptr) {
-    const auto& names = inputs.sampler->series_names();
-    const SeriesStore* store = inputs.sampler->series_store();
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (!first) std::fputc(',', f.get());
-      first = false;
-      std::fprintf(f.get(), "{\"name\":\"%s\",\"points\":[",
-                   names[i].c_str());
-      bool first_point = true;
-      size_t encoded_bytes = 0;
-      size_t raw_bytes = 0;
-      size_t sealed_chunks = 0;
-      if (store != nullptr && i < store->series_count()) {
-        auto points = store->Decode(i);
-        if (!points.ok()) return points.status();
-        for (const tsdb::Point& p : *points) {
-          std::fprintf(f.get(), "%s[%" PRId64 ",%.17g]",
-                       first_point ? "" : ",", p.timestamp, p.value);
-          first_point = false;
-        }
-        encoded_bytes = store->encoded_bytes(i);
-        raw_bytes = store->raw_bytes(i);
-        sealed_chunks = store->chunks(i).size();
-      } else {
-        for (const Sampler::Sample& sample : inputs.sampler->samples()) {
-          if (i >= sample.values.size()) continue;
-          std::fprintf(f.get(), "%s[%" PRId64 ",%.17g]",
-                       first_point ? "" : ",", sample.at, sample.values[i]);
-          first_point = false;
-        }
+    const SeriesStore& store = inputs.sampler->store();
+    for (size_t i = 0; i < store.series_count(); ++i) {
+      auto points = store.Decode(i);
+      if (!points.ok()) return points.status();
+      std::fprintf(f.get(), "%s{\"name\":\"%s\",\"points\":[",
+                   i == 0 ? "" : ",", store.name(i).c_str());
+      for (size_t p = 0; p < points->size(); ++p) {
+        std::fprintf(f.get(), "%s[%" PRId64 ",%.17g]", p == 0 ? "" : ",",
+                     (*points)[p].timestamp, (*points)[p].value);
       }
       std::fprintf(f.get(),
                    "],\"encoded_bytes\":%zu,\"raw_bytes\":%zu,"
                    "\"sealed_chunks\":%zu}",
-                   encoded_bytes, raw_bytes, sealed_chunks);
+                   store.encoded_bytes(i), store.raw_bytes(i),
+                   store.chunks(i).size());
     }
   }
   std::fputs("]}\n", f.get());
-  if (std::ferror(f.get()) != 0) {
-    return Status::IoError("write failed for " + path);
-  }
-  return Status::Ok();
+  return f.Close();
 }
 
 }  // namespace nbraft::obs

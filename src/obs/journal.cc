@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 
 #include "common/logging.h"
+#include "obs/output_file.h"
 
 namespace nbraft::obs {
 
 namespace {
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 std::string DefaultName(int32_t id) {
   if (id < 0) return "cluster";
@@ -221,8 +214,8 @@ void Journal::Clear() {
 
 Status Journal::WriteJsonl(const std::string& path, SimTime cutoff,
                            SimDuration lookback) const {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) {
+  OutputFile f(path);
+  if (f.get() == nullptr) {
     return Status::IoError("cannot open journal dump " + path);
   }
   const SimTime from = lookback > 0 ? cutoff - lookback : 0;
@@ -266,10 +259,7 @@ Status Journal::WriteJsonl(const std::string& path, SimTime cutoff,
                    group);
     }
   }
-  if (std::ferror(f.get()) != 0) {
-    return Status::IoError("write failed for " + path);
-  }
-  return Status::Ok();
+  return f.Close();
 }
 
 std::string Journal::FormatEvent(const JournalEvent& e,
@@ -440,8 +430,8 @@ std::string Journal::FormatEvent(const JournalEvent& e,
 Status Journal::WriteTimeline(const std::string& path, SimTime cutoff,
                               SimDuration lookback,
                               const EndpointNamer& namer) const {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (f == nullptr) {
+  OutputFile f(path);
+  if (f.get() == nullptr) {
     return Status::IoError("cannot open timeline " + path);
   }
   const SimTime from = lookback > 0 ? cutoff - lookback : 0;
@@ -454,10 +444,7 @@ Status Journal::WriteTimeline(const std::string& path, SimTime cutoff,
     std::fputs(FormatEvent(e, namer).c_str(), f.get());
     std::fputc('\n', f.get());
   }
-  if (std::ferror(f.get()) != 0) {
-    return Status::IoError("write failed for " + path);
-  }
-  return Status::Ok();
+  return f.Close();
 }
 
 }  // namespace nbraft::obs

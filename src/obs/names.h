@@ -7,25 +7,19 @@ namespace nbraft::obs::names {
 
 /// Canonical metric / journal vocabulary.
 ///
-/// Every user-visible observability name — registry counters and gauges,
-/// sampler pull sources, and journal event kinds — follows one scheme:
+/// Every user-visible observability name — sampler pull sources and
+/// journal event kinds — follows one scheme:
 ///
 ///     subsystem.noun_verb[.nodeN]
 ///
 /// where `subsystem` is one of {net, raft, election, storage, client,
 /// chaos, sim, membership}
 /// and the optional `.nodeN` suffix scopes a per-replica series. The
-/// constants below are the single source of truth for registry and sampler
-/// names; journal kinds are named by obs::Journal::KindName. The
+/// constants below are the single source of truth for sampler names;
+/// journal kinds are named by obs::Journal::KindName. The
 /// conformance tests (tests/obs/journal_test.cc) walk both to pin the
 /// scheme. DESIGN section "2e. Observability pipeline" documents each
 /// name's meaning.
-
-// ---- Registry counters ----
-inline constexpr char kChaosFaultsInjected[] = "chaos.faults_injected";
-inline constexpr char kChaosHealsTotal[] = "chaos.heals_total";
-/// Per-kind chaos counters are built as "chaos." + FaultKindName(kind),
-/// e.g. "chaos.crash", "chaos.partition_oneway" — see chaos_plan.cc.
 
 // ---- Sampler pull sources (cluster-wide) ----
 inline constexpr char kWindowOccupancy[] = "raft.window_occupancy";
@@ -44,10 +38,10 @@ inline constexpr char kIoQueueDepth[] = "sim.io_queue_depth";
 
 /// Every fixed name above, for the scheme-conformance test.
 inline constexpr const char* kAllNames[] = {
-    kChaosFaultsInjected, kChaosHealsTotal,      kWindowOccupancy,
-    kCommitIndexMax,      kApplyLag,             kDispatcherQueueDepth,
-    kRpcsInflight,        kNicBytesSent,         kBarriersPending,
-    kReplicationLag,      kCpuQueueDepth,        kIoQueueDepth,
+    kWindowOccupancy,      kCommitIndexMax, kApplyLag,
+    kDispatcherQueueDepth, kRpcsInflight,   kNicBytesSent,
+    kBarriersPending,      kReplicationLag, kCpuQueueDepth,
+    kIoQueueDepth,
 };
 
 inline constexpr size_t kAllNamesCount =

@@ -1,13 +1,12 @@
 // The full observability pipeline on a real cluster: the per-node pull
-// sources PR 1 stubbed out (window occupancy, pending barriers, CPU / IO
-// lane queue depths, replication lag) register and sample; every sampled
-// series mirrors into the Gorilla store at full resolution; the flight
-// recorder journals protocol events for every replica; and
-// WriteObsBundle() lands the whole snapshot set in one directory.
+// sources (window occupancy, pending barriers, CPU / IO lane queue depths,
+// replication lag) register and sample into the sampler's Gorilla store,
+// one point per tick; the flight recorder journals protocol events for
+// every replica; and WriteObsBundle() lands the whole snapshot set in one
+// directory.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -29,7 +28,6 @@ ClusterConfig ObsConfig(uint64_t seed) {
   ClusterConfig config = SmallConfig(Protocol::kNbRaft, 3, 4, seed);
   config.sample_interval = Millis(1);
   config.journal = true;
-  config.compress_series = true;
   config.disk.enabled = true;
   config.disk.write_latency = Micros(10);
   config.disk.fsync_latency = Micros(100);
@@ -51,10 +49,11 @@ TEST(ObsPipelineTest, PerNodeSourcesRegisterAndSample) {
   cluster.StartClients();
   cluster.RunFor(Millis(100));
 
-  ASSERT_NE(cluster.registry(), nullptr);
+  ASSERT_NE(cluster.sampler(), nullptr);
+  const obs::SeriesStore& store = cluster.sampler()->store();
   std::set<std::string> source_names;
-  for (const auto& source : cluster.registry()->sources()) {
-    source_names.insert(source.name);
+  for (size_t i = 0; i < store.series_count(); ++i) {
+    source_names.insert(store.name(i));
   }
   for (int n = 0; n < cluster.num_nodes(); ++n) {
     const std::string suffix = ".node" + std::to_string(n);
@@ -67,19 +66,19 @@ TEST(ObsPipelineTest, PerNodeSourcesRegisterAndSample) {
     }
   }
 
-  // The sampler froze that source list and has been ticking.
-  ASSERT_NE(cluster.sampler(), nullptr);
-  const auto& samples = cluster.sampler()->samples();
-  ASSERT_GT(samples.size(), 50u);
-  const auto& names = cluster.sampler()->series_names();
-  ASSERT_EQ(names.size(), samples.front().values.size());
+  // The sampler has been ticking.
+  ASSERT_GT(store.point_count(0), 50u);
 
   // The ingest workload moved real bytes, so the NIC series ends nonzero.
-  const auto it =
-      std::find(names.begin(), names.end(), obs::names::kNicBytesSent);
-  ASSERT_NE(it, names.end());
-  const size_t nic = static_cast<size_t>(it - names.begin());
-  EXPECT_GT(samples.back().values[nic], 0.0);
+  size_t nic = 0;
+  while (nic < store.series_count() &&
+         store.name(nic) != obs::names::kNicBytesSent) {
+    ++nic;
+  }
+  ASSERT_LT(nic, store.series_count());
+  const auto points = store.Decode(nic);
+  ASSERT_TRUE(points.ok());
+  EXPECT_GT(points->back().value, 0.0);
 }
 
 TEST(ObsPipelineTest, SeriesStoreMirrorsEverySampledSeries) {
@@ -89,20 +88,21 @@ TEST(ObsPipelineTest, SeriesStoreMirrorsEverySampledSeries) {
   cluster.StartClients();
   cluster.RunFor(Millis(60));
 
-  obs::SeriesStore* store = cluster.series_store();
-  ASSERT_NE(store, nullptr);
-  const auto& names = cluster.sampler()->series_names();
-  const auto& samples = cluster.sampler()->samples();
-  ASSERT_EQ(store->series_count(), names.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(store->name(i), names[i]);
-    ASSERT_EQ(store->point_count(i), samples.size()) << names[i];
-    const auto decoded = store->Decode(i);
-    ASSERT_TRUE(decoded.ok()) << names[i];
-    for (size_t s = 0; s < samples.size(); ++s) {
-      ASSERT_EQ((*decoded)[s].timestamp, samples[s].at);
-      ASSERT_EQ((*decoded)[s].value, samples[s].values[i])
-          << names[i] << " sample " << s;
+  // One series per source (6 cluster-wide + 5 per node), each holding one
+  // point per 1 ms tick since Start(): the run's 60 ms plus the election
+  // wait.
+  ASSERT_NE(cluster.sampler(), nullptr);
+  const obs::SeriesStore& store = cluster.sampler()->store();
+  ASSERT_EQ(store.series_count(), 6u + 5u * 3u);
+  const size_t ticks = store.point_count(0);
+  ASSERT_GT(ticks, 60u);
+  for (size_t i = 0; i < store.series_count(); ++i) {
+    const auto decoded = store.Decode(i);
+    ASSERT_TRUE(decoded.ok()) << store.name(i);
+    ASSERT_EQ(decoded->size(), ticks) << store.name(i);
+    for (size_t t = 0; t < ticks; ++t) {
+      ASSERT_EQ((*decoded)[t].timestamp, Millis(static_cast<int64_t>(t)))
+          << store.name(i) << " sample " << t;
     }
   }
 }
@@ -176,13 +176,30 @@ TEST(ObsPipelineTest, WriteObsBundleLandsTheFullSnapshotSet) {
     EXPECT_TRUE(std::filesystem::exists(dir + "/" + file)) << file;
   }
   const std::string metrics = Slurp(dir + "/metrics.json");
-  EXPECT_NE(metrics.find("\"nbraft-obs-metrics-v1\""), std::string::npos);
+  EXPECT_NE(metrics.find("\"nbraft-obs-metrics-v2\""), std::string::npos);
   EXPECT_NE(metrics.find(obs::names::kBarriersPending), std::string::npos);
   const std::string prom = Slurp(dir + "/metrics.prom");
   EXPECT_NE(prom.find("{node=\"0\"}"), std::string::npos);
   const std::string journal = Slurp(dir + "/journal.jsonl");
   EXPECT_NE(journal.find("\"type\":\"meta\""), std::string::npos);
   EXPECT_NE(journal.find("net.msg_send"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+// A full disk fails only when stdio flushes its buffer, so the bundle's
+// node_stats.json writer must check the flush and the close.
+TEST(ObsPipelineTest, WriteObsBundleReportsFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Cluster cluster(ObsConfig(16));
+  cluster.Start();
+  cluster.RunFor(Millis(5));
+
+  const std::string dir = test_util::TestTempPath("obs_full").string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir + "/node_stats.json");
+  const Status s = cluster.WriteObsBundle(dir);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
   std::filesystem::remove_all(dir);
 }
 

@@ -86,7 +86,7 @@ TEST_P(TraceParityTest, TracedRunIsBitIdenticalToUntraced) {
   }
   EXPECT_TRUE(saw_client_accept);
   ASSERT_NE(b.sampler(), nullptr);
-  EXPECT_GT(b.sampler()->samples().size(), 1u);
+  EXPECT_GT(b.sampler()->store().point_count(0), 1u);
 }
 
 TEST_P(TraceParityTest, TracerTotalsMatchCollectedBreakdown) {

@@ -1,7 +1,7 @@
 // The flight recorder: per-node rings with wraparound, the global seq
 // order that makes post-mortem dumps deterministic, the JSONL/timeline
 // exports, and the naming-scheme conformance tests that pin the canonical
-// `subsystem.noun_verb` vocabulary across registry, sampler and journal.
+// `subsystem.noun_verb` vocabulary across sampler and journal.
 
 #include "obs/journal.h"
 
@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -72,8 +73,8 @@ TEST(NamingSchemeTest, EveryJournalKindNameFollowsScheme) {
 TEST(NamingSchemeTest, EveryJournalKindHasADistinctName) {
   // Journal kinds are the one point-event vocabulary (the exporters name
   // Chrome-trace instants by them), so no kind may fall through to the
-  // unknown name or share another kind's, nor collide with a registry or
-  // sampler name.
+  // unknown name or share another kind's, nor collide with a sampler
+  // name.
   std::set<std::string> seen(names::kAllNames,
                              names::kAllNames + names::kAllNamesCount);
   for (int k = 0; k < static_cast<int>(JournalEventKind::kNumKinds); ++k) {
@@ -347,6 +348,18 @@ TEST(JournalTest, UnwritablePathReturnsIoError) {
   EXPECT_FALSE(
       journal.WriteTimeline("/nonexistent-dir/never/t.txt", 0, 0, nullptr)
           .ok());
+}
+
+// A full disk fails only when stdio flushes its buffer, after the last
+// fprintf, so the writers must check the flush and the close.
+TEST(JournalTest, FullDeviceReturnsIoError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Journal journal(nullptr, 1);
+  journal.RecordAt(5, JournalEventKind::kTermChange, 0, -1, 1, 0);
+  const Status jsonl = journal.WriteJsonl("/dev/full", 10, 0);
+  EXPECT_EQ(jsonl.code(), StatusCode::kIoError) << jsonl.ToString();
+  const Status timeline = journal.WriteTimeline("/dev/full", 10, 0, nullptr);
+  EXPECT_EQ(timeline.code(), StatusCode::kIoError) << timeline.ToString();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The compressed telemetry store: every sampled series survives the
 // Gorilla encode/decode round trip bit-exactly (the system monitors itself
 // with its own storage format), chunks seal on the configured boundary,
-// and the Sampler mirror records exactly the raw sample stream.
+// and the Sampler's store records exactly the values its sources returned.
 
 #include "obs/series_store.h"
 
@@ -10,7 +10,7 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/registry.h"
+#include "obs/sampler.h"
 #include "sim/simulator.h"
 
 namespace nbraft::obs {
@@ -115,33 +115,36 @@ TEST(SeriesStoreTest, EmptySeriesDecodesToNothing) {
 
 TEST(SamplerMirrorTest, StoreReproducesRawSampleStreamBitExactly) {
   sim::Simulator sim(1);
-  Registry registry;
+  Sampler sampler(&sim, Millis(1));
+  // Each source logs what it returned: the raw stream the store must hold.
+  std::vector<double> raw[2];
   int tick = 0;
-  registry.AddSource("sim.cpu_queue_depth",
-                     [&tick]() { return static_cast<double>(tick++); });
-  registry.AddSource("raft.window_occupancy",
-                     [&tick]() { return 0.37 * tick; });
-
-  Sampler sampler(&sim, &registry, Millis(1));
-  SeriesStore store(/*chunk_points=*/4);  // Forces seals mid-run.
-  sampler.set_series_store(&store);
+  sampler.AddSource("sim.cpu_queue_depth", [&]() {
+    raw[0].push_back(static_cast<double>(tick++));
+    return raw[0].back();
+  });
+  sampler.AddSource("raft.window_occupancy", [&]() {
+    raw[1].push_back(0.37 * tick);
+    return raw[1].back();
+  });
   sampler.Start();
-  sim.RunUntil(Millis(20));
+  // Past the store's 512-point chunk, so the decode spans a sealed chunk
+  // and the open tail.
+  sim.RunUntil(Millis(600));
   sampler.Stop();
 
+  const SeriesStore& store = sampler.store();
   ASSERT_EQ(store.series_count(), 2u);
   EXPECT_EQ(store.name(0), "sim.cpu_queue_depth");
   EXPECT_EQ(store.name(1), "raft.window_occupancy");
-
-  const auto& samples = sampler.samples();
-  ASSERT_GT(samples.size(), 4u);
   for (size_t series = 0; series < 2; ++series) {
+    EXPECT_EQ(store.chunks(series).size(), 1u);
     const auto decoded = store.Decode(series);
     ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded->size(), samples.size());
-    for (size_t i = 0; i < samples.size(); ++i) {
-      EXPECT_EQ((*decoded)[i].timestamp, samples[i].at);
-      EXPECT_EQ(Bits((*decoded)[i].value), Bits(samples[i].values[series]))
+    ASSERT_EQ(decoded->size(), raw[series].size());
+    for (size_t i = 0; i < raw[series].size(); ++i) {
+      EXPECT_EQ((*decoded)[i].timestamp, Millis(static_cast<int64_t>(i)));
+      EXPECT_EQ(Bits((*decoded)[i].value), Bits(raw[series][i]))
           << store.name(series) << " sample " << i;
     }
   }

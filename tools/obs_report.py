@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Render an observability bundle (Cluster::WriteObsBundle output) as a
 single self-contained HTML dashboard: every compressed metric series as an
-inline-SVG chart with its Gorilla compression accounting, the counter and
-gauge snapshots, and the tail of the flight-recorder journal with safety
-violations highlighted.
+inline-SVG chart with its Gorilla compression accounting, the per-node
+counters from node_stats.json, and the tail of the flight-recorder journal
+with safety violations highlighted.
 
 Stdlib only — no pip installs, no external assets.
 
@@ -135,22 +135,6 @@ def main():
                        f"</span>")
             out.append(svg_chart(points))
             out.append("</div>")
-
-        out.append("<h2>Counters</h2><table><tr><th>name</th>"
-                   "<th>value</th></tr>")
-        for name, value in sorted(metrics.get("counters", {}).items()):
-            out.append(f"<tr><td>{html.escape(name)}</td>"
-                       f"<td>{value}</td></tr>")
-        out.append("</table>")
-
-        gauges = metrics.get("gauges", {})
-        if gauges:
-            out.append("<h2>Gauges</h2><table><tr><th>name</th>"
-                       "<th>value</th></tr>")
-            for name, value in sorted(gauges.items()):
-                out.append(f"<tr><td>{html.escape(name)}</td>"
-                           f"<td>{value:g}</td></tr>")
-            out.append("</table>")
 
     if node_stats is not None:
         out.append("<h2>Per-node stats</h2><table>")
