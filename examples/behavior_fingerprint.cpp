@@ -6,7 +6,10 @@
 // disks), and the observability outputs: the post-mortem JSONL and
 // timeline of an induced safety violation, the lifecycle span stream of
 // one traced run per protocol, and that run's export files (Chrome trace,
-// trace JSONL, Prometheus snapshot) with the sampler on.
+// trace JSONL, Prometheus snapshot) with the sampler on. The last two
+// sections pin the multi-group and elastic paths: four consensus groups on
+// three hosts under the host-scoped nemesis, and a 3-voter cluster grown
+// to 5 with AddNode plus one leadership transfer, both under faults.
 //
 // The output is a refactoring contract: any change that claims to be
 // behavior-preserving must reproduce this byte-for-byte. The full-matrix
@@ -108,6 +111,59 @@ chaos::ChaosRunner::Options SweepOptions() {
   options.round_length = Millis(200);
   options.drain = Millis(1500);
   return options;
+}
+
+// Mirrors tests/chaos/multiraft_chaos_sweep_test.cc: four groups of three
+// replicas co-resident on three hosts, so every fault hits all four.
+harness::ClusterConfig MultiRaftConfig(raft::Protocol protocol,
+                                       uint64_t seed) {
+  harness::ClusterConfig config;
+  config.num_nodes = 3;
+  config.num_groups = 4;
+  config.num_clients = 2;  // Per group.
+  config.protocol = protocol;
+  config.window_size = 64;
+  config.payload_size = 256;
+  config.client_think = Millis(1);
+  config.election_timeout = Millis(150);
+  config.seed = seed * 104729 + 7;
+  config.client_backoff_base = Millis(150);
+  config.client_backoff_cap = Millis(1200);
+  config.client_max_requests = 120;
+  config.snapshot_threshold = 0;
+  config.workload.series_count = 64;
+  return config;
+}
+
+// Mirrors the elastic cells of tests/chaos/membership_chaos_sweep_test.cc
+// (full mitigations, simulated durable disks), starting from three voters
+// of five hosts.
+harness::ClusterConfig ElasticConfig(raft::Protocol protocol, uint64_t seed) {
+  harness::ClusterConfig config = MultiRaftConfig(protocol, seed);
+  config.num_nodes = 5;
+  config.num_groups = 1;
+  config.initial_voters = 3;
+  config.pre_vote = true;
+  config.check_quorum = true;
+  config.leader_lease = true;
+  config.disk.enabled = true;
+  config.disk.write_latency = Micros(10);
+  config.disk.fsync_latency = Micros(100);
+  config.disk.group_commit = true;
+  config.disk.fault_seed = seed;
+  return config;
+}
+
+/// Each group's final leader commit index joined by '/', -1 where a group
+/// ends leaderless.
+std::string PerGroupCommit(harness::Cluster& cluster) {
+  std::string out;
+  for (int g = 0; g < cluster.num_groups(); ++g) {
+    if (g > 0) out += "/";
+    const raft::RaftNode* leader = cluster.leader(g);
+    out += std::to_string(leader != nullptr ? leader->commit_index() : -1);
+  }
+  return out;
 }
 
 // A short traced steady-state run: 400 ms of load, then a 300 ms drain.
@@ -312,6 +368,51 @@ int main(int argc, char** argv) {
   for (raft::Protocol protocol :
        {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
     ExportDigest(protocol, 91);
+  }
+  for (raft::Protocol protocol :
+       {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      chaos::ChaosRunner runner(MultiRaftConfig(protocol, seed),
+                                SweepPlan(seed), SweepOptions());
+      const chaos::ChaosReport report = runner.Run();
+      std::printf("multiraft %-8s seed %llu: fp %llu commit %s prefix %llu "
+                  "completed %llu violations %zu\n",
+                  std::string(raft::ProtocolName(protocol)).c_str(),
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(report.fault_fingerprint),
+                  PerGroupCommit(*runner.cluster()).c_str(),
+                  static_cast<unsigned long long>(
+                      report.committed_prefix_hash),
+                  static_cast<unsigned long long>(report.requests_completed),
+                  report.violations.size());
+    }
+  }
+  using MembershipAction = chaos::ChaosRunner::MembershipAction;
+  for (raft::Protocol protocol :
+       {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      chaos::ChaosRunner::Options options = SweepOptions();
+      options.drain = Millis(2000);
+      options.membership_plan = {
+          {0, MembershipAction::Kind::kAdd, 0, 3},
+          {1, MembershipAction::Kind::kAdd, 0, 4},
+          {3, MembershipAction::Kind::kTransfer, 0, 1},
+      };
+      chaos::ChaosRunner runner(ElasticConfig(protocol, seed),
+                                SweepPlan(seed), options);
+      const chaos::ChaosReport report = runner.Run();
+      std::printf("elastic %-8s seed %llu: fp %llu commit %s prefix %llu "
+                  "completed %llu changes %llu violations %zu\n",
+                  std::string(raft::ProtocolName(protocol)).c_str(),
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(report.fault_fingerprint),
+                  PerGroupCommit(*runner.cluster()).c_str(),
+                  static_cast<unsigned long long>(
+                      report.committed_prefix_hash),
+                  static_cast<unsigned long long>(report.requests_completed),
+                  static_cast<unsigned long long>(report.config_changes),
+                  report.violations.size());
+    }
   }
   return 0;
 }
