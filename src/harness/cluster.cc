@@ -11,6 +11,13 @@
 
 namespace nbraft::harness {
 
+namespace {
+
+/// Span ring capacity of a traced cluster's tracer.
+constexpr size_t kTraceSpanCapacity = 1 << 20;
+
+}  // namespace
+
 void ClusterStats::Merge(const ClusterStats& other) {
   requests_issued += other.requests_issued;
   requests_completed += other.requests_completed;
@@ -29,7 +36,7 @@ void ClusterStats::Merge(const ClusterStats& other) {
 
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)),
-      shard_map_(std::max(config_.num_groups, 1), config_.shard_salt) {
+      shard_map_(std::max(config_.num_groups, 1)) {
   NBRAFT_CHECK_GE(config_.num_nodes, 1);
   NBRAFT_CHECK_GE(config_.num_clients, 0);
   NBRAFT_CHECK_GE(config_.num_groups, 1);
@@ -48,7 +55,6 @@ Cluster::Cluster(ClusterConfig config)
   options.pre_vote = config_.pre_vote;
   options.check_quorum = config_.check_quorum;
   options.leader_lease = config_.leader_lease;
-  options.cpu_lanes = config_.cpu_lanes;
   options.election_timeout = config_.election_timeout;
   options.release_applied_payloads = config_.release_payloads;
   options.snapshot_threshold = config_.snapshot_threshold;
@@ -72,13 +78,9 @@ Cluster::Cluster(ClusterConfig config)
   sub.seed = config_.seed;
   sub.network = config_.network;
   sub.num_physical_nodes = config_.num_nodes;
-  // Host-shared pools exist only in multi-group mode; a single group owns
-  // its resources exactly as before sharding (rng/bit-identity contract).
-  sub.shared_pools = config_.num_groups > 1;
   sub.cpu_lanes = config_.cpu_lanes;
   sub.cpu_speed = config_.cpu_speed;
   sub.costs = options.costs;
-  sub.disk_lanes = config_.disk.enabled && config_.wal_dir.empty();
   substrate_ = std::make_unique<Substrate>(sub);
 
   if (config_.geo_distributed) {
@@ -97,7 +99,6 @@ Cluster::Cluster(ClusterConfig config)
       options.window_size > 0 ? options.window_size : 0;
   client_options.backoff_base = config_.client_backoff_base;
   client_options.backoff_cap = config_.client_backoff_cap;
-  client_options.backoff_multiplier = config_.client_backoff_multiplier;
   client_options.record_ack_ids = config_.record_client_acks;
   client_options.max_requests = config_.client_max_requests;
 
@@ -106,35 +107,6 @@ Cluster::Cluster(ClusterConfig config)
   for (int g = 0; g < config_.num_groups; ++g) {
     groups_.push_back(std::make_unique<GroupRuntime>(
         substrate_.get(), config_, g, options, client_options, shard_map_));
-  }
-
-  // Leadership callbacks keep the router's hint cache current (observers
-  // are multicast — the chaos oracle adds its own alongside).
-  router_ = std::make_unique<ShardRouter>(&shard_map_);
-  for (int g = 0; g < num_groups(); ++g) {
-    for (int r = 0; r < config_.num_nodes; ++r) {
-      groups_[static_cast<size_t>(g)]->node(r)->add_leader_observer(
-          [this, g](storage::Term term, net::NodeId id) {
-            router_->ObserveLeader(g, id, term);
-          });
-    }
-  }
-  if (config_.initial_voters > 0) {
-    // A node leaving the configuration must not keep routing traffic: any
-    // replica observing a roster that no longer knows the hinted leader
-    // drops the hint (its term watermark stays, so stale re-observations
-    // of the removed node cannot resurrect it).
-    for (int g = 0; g < num_groups(); ++g) {
-      for (int r = 0; r < config_.num_nodes; ++r) {
-        groups_[static_cast<size_t>(g)]->node(r)->add_config_observer(
-            [this, g](const raft::Configuration& cfg) {
-              const net::NodeId hint = router_->LeaderHint(g);
-              if (hint != net::kInvalidNode && !cfg.Knows(hint)) {
-                router_->InvalidateIfLeaderIs(g, hint);
-              }
-            });
-      }
-    }
   }
 
   SetupObservability();
@@ -173,7 +145,7 @@ void Cluster::SetupObservability() {
   if (!config_.trace && config_.sample_interval <= 0) return;
 
   if (config_.trace) {
-    tracer_ = std::make_unique<obs::Tracer>(config_.trace_span_capacity);
+    tracer_ = std::make_unique<obs::Tracer>(kTraceSpanCapacity);
     for (auto& group : groups_) {
       for (int r = 0; r < group->num_nodes(); ++r) {
         group->node(r)->set_tracer(tracer_.get());
@@ -421,14 +393,6 @@ void Cluster::CrashNode(int i) {
   for (auto& group : groups_) {
     if (group->node(i)->started()) group->node(i)->Crash();
   }
-  // Leader hints pointing at this host are now dead ends.
-  for (int g = 0; g < num_groups(); ++g) {
-    const net::NodeId hint = router_->LeaderHint(g);
-    if (hint != net::kInvalidNode &&
-        hint == ReplicaEndpoint(g, config_.num_nodes, i)) {
-      router_->InvalidateLeader(g);
-    }
-  }
 }
 
 void Cluster::RestartNode(int i) {
@@ -504,9 +468,8 @@ void Cluster::SetTimerSkewAt(int i, double skew) {
 }
 
 void Cluster::SetCpuSpeedFactorAt(int i, double factor) {
-  // In multi-group mode all co-resident replicas share one pool, so this
-  // sets the same executor G times (idempotent); single-group it is the
-  // replica's own pool.
+  // Co-resident replicas share the host pool, so this sets that executor
+  // G times (idempotent) alongside each replica's serial lanes.
   for (auto& group : groups_) group->node(i)->SetCpuSpeedFactor(factor);
 }
 
@@ -533,25 +496,6 @@ bool Cluster::CorruptDiskTailAt(int i) {
     }
   }
   return any;
-}
-
-std::vector<ShardRouter::Move> Cluster::PlanLeaderRebalance() {
-  std::vector<int> leader_node(static_cast<size_t>(num_groups()), -1);
-  for (int g = 0; g < num_groups(); ++g) {
-    if (raft::RaftNode* l = leader(g)) {
-      leader_node[static_cast<size_t>(g)] =
-          groups_[static_cast<size_t>(g)]->ReplicaOf(l->id());
-    }
-  }
-  return ShardRouter::PlanRebalance(leader_node, config_.num_nodes);
-}
-
-int Cluster::RebalanceLeaders() {
-  const std::vector<ShardRouter::Move> moves = PlanLeaderRebalance();
-  for (const ShardRouter::Move& move : moves) {
-    groups_[static_cast<size_t>(move.group)]->node(move.to)->TriggerElection();
-  }
-  return static_cast<int>(moves.size());
 }
 
 void Cluster::ResetMeasurement() {

@@ -10,7 +10,6 @@
 #include "harness/cluster_types.h"
 #include "harness/group_runtime.h"
 #include "harness/shard_map.h"
-#include "harness/shard_router.h"
 #include "harness/substrate.h"
 #include "net/network.h"
 #include "obs/exporter.h"
@@ -26,21 +25,17 @@ namespace nbraft::harness {
 
 /// An in-process multi-Raft cluster on the deterministic simulator: one
 /// shared Substrate (simulator, network, per-host CPU/disk pools) carrying
-/// `num_groups` consensus groups of N replicas each, plus a ShardMap/
-/// ShardRouter pair that places series on groups and tracks leaders.
+/// `num_groups` consensus groups of N replicas each, plus a ShardMap that
+/// places series on groups.
 ///
-/// With num_groups == 1 (the default) this is exactly the paper's testbed:
-/// the single group owns its resources and the whole construction +
-/// execution path — including the rng draw sequence — is bit-identical to
-/// the pre-sharding cluster (behavior_fingerprint-pinned). The historical
-/// single-group API below (node(i), leader(), CrashLeader(), ...) keeps
-/// working unchanged by delegating to group 0.
+/// With num_groups == 1 (the default) this is exactly the paper's testbed,
+/// and the single-group API below (node(i), leader(), CrashLeader(), ...)
+/// delegates to group 0.
 ///
-/// With num_groups > 1, group g's replica r is *co-resident* with every
-/// other group's replica r on physical host r: they share the host's NIC
-/// serialization and partition/crash state, one CPU pool, and one disk
-/// I/O lane — so chaos faults and load interference hit whole hosts, not
-/// individual groups.
+/// Group g's replica r is *co-resident* with every other group's replica r
+/// on physical host r: they share the host's NIC serialization and
+/// partition/crash state, one CPU pool, and one disk I/O lane — so chaos
+/// faults and load interference hit whole hosts, not individual groups.
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
@@ -67,7 +62,7 @@ class Cluster {
 
   /// Crashes physical host `i`: every group's replica i dies together.
   /// Crash observers fire for the host *before* any replica's memory is
-  /// wiped; the router's leader hints for affected groups are invalidated.
+  /// wiped.
   void CrashNode(int i);
   /// Restarts physical host `i` (every group's replica i recovers).
   void RestartNode(int i);
@@ -116,8 +111,8 @@ class Cluster {
 
   /// Election-timer skew on every replica of host `i`.
   void SetTimerSkewAt(int i, double skew);
-  /// CPU slowdown on host `i` (one shared pool in multi-group mode, the
-  /// replica's own pool otherwise).
+  /// CPU slowdown on host `i`: its shared pool and every co-resident
+  /// replica's serial lanes.
   void SetCpuSpeedFactorAt(int i, double factor);
   /// Vote-withholder adversary on every replica of host `i`.
   void SetWithholdVotesAt(int i, bool withhold);
@@ -164,21 +159,7 @@ class Cluster {
     return groups_[static_cast<size_t>(g)]->leader();
   }
 
-  // ---- Sharding ----
   const ShardMap& shard_map() const { return shard_map_; }
-  /// Leader-hint cache fed by per-node leadership callbacks; external
-  /// ingress routes through this (the closed-loop clients keep their own
-  /// NotLeader redirect machinery and bypass it).
-  ShardRouter* router() { return router_.get(); }
-  const ShardRouter* router() const { return router_.get(); }
-
-  /// Plans leader moves that even out leaders-per-host (see
-  /// ShardRouter::PlanRebalance). Empty when already balanced.
-  std::vector<ShardRouter::Move> PlanLeaderRebalance();
-  /// Executes the plan by triggering elections on the target replicas
-  /// (best-effort placement: the election itself still needs a quorum).
-  /// Returns the number of moves attempted.
-  int RebalanceLeaders();
 
   /// Marks the start of the measurement window (resets client stats).
   void ResetMeasurement();
@@ -250,7 +231,6 @@ class Cluster {
   ClusterConfig config_;
   std::unique_ptr<Substrate> substrate_;
   ShardMap shard_map_;
-  std::unique_ptr<ShardRouter> router_;
   std::vector<std::unique_ptr<GroupRuntime>> groups_;
 
   std::unique_ptr<obs::Tracer> tracer_;

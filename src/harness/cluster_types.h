@@ -31,11 +31,8 @@ struct ClusterConfig {
   /// sharding). Every group runs `num_nodes` replicas co-resident on the
   /// same `num_nodes` physical hosts: group g's replica r shares host r's
   /// NIC, CPU pool and disk I/O lane with every other group's replica r.
-  /// 1 (the default) reproduces the single-group cluster bit-identically.
+  /// 1 (the default) is the paper's single-group testbed.
   int num_groups = 1;
-
-  /// ShardMap hash salt (series/key -> group placement).
-  uint64_t shard_salt = 0;
 
   /// Dynamic membership (elastic scale-out). 0 (the default) keeps the
   /// membership engine dormant: all `num_nodes` hosts start as a fixed
@@ -77,6 +74,9 @@ struct ClusterConfig {
   bool check_quorum = false;
   bool leader_lease = false;
 
+  /// CPU cores modelled per host, in the pool every co-resident replica
+  /// shares (paper testbed: large SMP boxes; what matters is the ratio of
+  /// cores to concurrent requests).
   int cpu_lanes = 16;
   double cpu_speed = 1.0;      ///< Fig. 23: < 1 models disabled CPU-Turbo.
 
@@ -99,10 +99,9 @@ struct ClusterConfig {
   SimDuration election_timeout = Millis(500);
   SimDuration client_think = Micros(5);
 
-  /// Client resend backoff (capped exponential + seeded jitter).
+  /// Client resend backoff (doubling up to the cap, plus seeded jitter).
   SimDuration client_backoff_base = Millis(1500);
   SimDuration client_backoff_cap = Millis(8000);
-  double client_backoff_multiplier = 2.0;
 
   /// Retain weak/strong acked request ids on every client so the chaos
   /// safety oracle can audit acknowledged-write durability.
@@ -138,9 +137,6 @@ struct ClusterConfig {
   /// depth / in-flight RPCs / NIC bytes (0 = sampler off). Samples are kept
   /// Gorilla-compressed in the sampler's SeriesStore.
   SimDuration sample_interval = 0;
-
-  /// Span ring-buffer capacity for the tracer.
-  size_t trace_span_capacity = 1 << 20;
 
   /// Enables the cluster flight recorder (implied by `trace`): one fixed
   /// ring of structured protocol events per node (role/term changes,

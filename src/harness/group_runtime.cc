@@ -71,11 +71,6 @@ GroupRuntime::GroupRuntime(Substrate* substrate, const ClusterConfig& config,
         MakeStateMachine(config.profile));
     node->stats().group = group_;
     node->stats().replica = r;
-    // A shared host pool already carries the speed factor (the substrate
-    // applies it once per host); a replica-owned pool gets it here.
-    if (config.cpu_speed != 1.0 && options.shared_cpu == nullptr) {
-      node->cpu()->set_speed_factor(config.cpu_speed);
-    }
     nodes_.push_back(std::move(node));
   }
 

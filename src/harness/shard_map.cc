@@ -1,19 +1,14 @@
 #include "harness/shard_map.h"
 
+#include <string_view>
+
 #include "common/hash.h"
 #include "common/logging.h"
 
 namespace nbraft::harness {
 
-ShardMap::ShardMap(int num_groups, uint64_t salt)
-    : num_groups_(num_groups), salt_(salt) {
+ShardMap::ShardMap(int num_groups) : num_groups_(num_groups) {
   NBRAFT_CHECK_GE(num_groups_, 1);
-}
-
-int ShardMap::GroupForKey(std::string_view key) const {
-  if (num_groups_ == 1) return 0;
-  const uint64_t h = Fnv1a64(key) ^ salt_;
-  return static_cast<int>(h % static_cast<uint64_t>(num_groups_));
 }
 
 int ShardMap::GroupForSeries(uint64_t series_id) const {
@@ -22,7 +17,7 @@ int ShardMap::GroupForSeries(uint64_t series_id) const {
   for (int i = 0; i < 8; ++i) {
     bytes[i] = static_cast<char>((series_id >> (i * 8)) & 0xff);
   }
-  const uint64_t h = Fnv1a64(std::string_view(bytes, sizeof(bytes))) ^ salt_;
+  const uint64_t h = Fnv1a64(std::string_view(bytes, sizeof(bytes)));
   return static_cast<int>(h % static_cast<uint64_t>(num_groups_));
 }
 

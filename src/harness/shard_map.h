@@ -2,28 +2,21 @@
 #define NBRAFT_HARNESS_SHARD_MAP_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace nbraft::harness {
 
-/// Static series/key -> consensus-group placement for a multi-Raft
-/// cluster: FNV-1a over the key (salted, so two clusters can shard the
-/// same universe differently), reduced modulo the group count. The map is
-/// pure and stateless — two processes with the same (num_groups, salt)
-/// agree on every placement, which is what lets routers, benches and tests
-/// compute shard membership independently. Hash stability is pinned by
-/// shard_router_test: changing the function is a data-placement migration,
-/// not a refactor.
+/// Static series -> consensus-group placement for a multi-Raft cluster:
+/// FNV-1a over the series id, reduced modulo the group count. The map is
+/// pure and stateless — two instances with the same group count agree on
+/// every placement, which is what lets benches and tests compute shard
+/// membership independently. Hash stability is pinned by shard_map_test:
+/// changing the function is a data-placement migration, not a refactor.
 class ShardMap {
  public:
-  explicit ShardMap(int num_groups, uint64_t salt = 0);
+  explicit ShardMap(int num_groups);
 
   int num_groups() const { return num_groups_; }
-  uint64_t salt() const { return salt_; }
-
-  /// Group owning an opaque string key.
-  int GroupForKey(std::string_view key) const;
 
   /// Group owning a time-series id (hashes the 8 little-endian bytes, so
   /// dense integer ids still spread evenly).
@@ -45,7 +38,6 @@ class ShardMap {
 
  private:
   int num_groups_;
-  uint64_t salt_;
 };
 
 }  // namespace nbraft::harness

@@ -12,34 +12,22 @@
 namespace nbraft::harness {
 
 /// The physical layer every consensus group shares: one deterministic
-/// simulator, one network, and — in multi-group mode — one CPU pool and
-/// one disk I/O lane per physical host. GroupRuntimes are tenants on top:
-/// their replicas bind endpoints onto these hosts and submit work to
-/// these pools, which is exactly how co-resident Raft groups interfere in
-/// production (shared NIC serialization, shared cores, shared fsync lane).
-///
-/// In single-group mode no host pools are created and every replica owns
-/// its resources, reproducing the pre-sharding cluster bit-identically —
-/// the construction-time rng draw order (network, then nodes, then
-/// clients) is part of the determinism contract.
+/// simulator, one network, and one CPU pool and one disk I/O lane per
+/// physical host. GroupRuntimes are tenants on top: their replicas bind
+/// endpoints onto these hosts and submit work to these pools, which is
+/// exactly how co-resident Raft groups interfere in production (shared NIC
+/// serialization, shared cores, shared fsync lane). With one group each
+/// host carries a single replica, so its pools are that replica's alone.
 class Substrate {
  public:
   struct Config {
     uint64_t seed = 42;
     net::NetworkConfig network;
     int num_physical_nodes = 3;
-    /// Create per-host shared CPU pools (+ I/O lanes when disk_lanes):
-    /// on in multi-group clusters, off in single-group ones.
-    bool shared_pools = false;
     int cpu_lanes = 16;
     double cpu_speed = 1.0;
-    /// Switch costs for the shared pools (same CostModel the replicas
-    /// would use for their own pools).
+    /// Switch costs for the host pools (the replicas' CostModel).
     raft::CostModel costs;
-    /// Also create one single-lane I/O executor per host, shared by every
-    /// co-resident group's simulated disk. Only meaningful with
-    /// shared_pools.
-    bool disk_lanes = false;
   };
 
   explicit Substrate(const Config& config);
@@ -53,26 +41,22 @@ class Substrate {
   net::SimNetwork* network() { return network_.get(); }
   int num_physical_nodes() const { return config_.num_physical_nodes; }
 
-  /// Host `physical`'s shared CPU pool, or nullptr when each replica owns
-  /// its own (single-group mode).
+  /// Host `physical`'s CPU pool.
   sim::CpuExecutor* host_cpu(int physical) {
-    return host_cpus_.empty() ? nullptr
-                              : host_cpus_[static_cast<size_t>(physical)].get();
+    return host_cpus_[static_cast<size_t>(physical)].get();
   }
 
-  /// Host `physical`'s shared disk I/O lane, or nullptr when each disk
-  /// owns its own.
+  /// Host `physical`'s single-lane disk I/O executor, shared by every
+  /// co-resident replica's simulated disk.
   sim::CpuExecutor* host_io_lane(int physical) {
-    return host_io_lanes_.empty()
-               ? nullptr
-               : host_io_lanes_[static_cast<size_t>(physical)].get();
+    return host_io_lanes_[static_cast<size_t>(physical)].get();
   }
 
  private:
   Config config_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::SimNetwork> network_;
-  /// Indexed by physical host; empty unless Config::shared_pools.
+  /// Indexed by physical host.
   std::vector<std::unique_ptr<sim::CpuExecutor>> host_cpus_;
   std::vector<std::unique_ptr<sim::CpuExecutor>> host_io_lanes_;
   bool owns_log_clock_ = false;

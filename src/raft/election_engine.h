@@ -88,14 +88,10 @@ class ElectionEngine {
   void OnCrash();
 
   /// Registers a callback fired on every BecomeLeader (term, node id).
-  /// Multicast: the harness's shard router and the chaos safety oracle
-  /// both listen. Observers fire in registration order.
+  /// Multicast: every chaos safety oracle of the cluster listens.
+  /// Observers fire in registration order.
   void add_leader_observer(LeaderObserver observer) {
     leader_observers_.push_back(std::move(observer));
-  }
-  /// Historical name; appends like add_leader_observer.
-  void set_leader_observer(LeaderObserver observer) {
-    add_leader_observer(std::move(observer));
   }
 
   /// Multiplies the randomized election timeout (chaos clock skew; 1.0 =

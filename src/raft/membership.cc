@@ -170,7 +170,6 @@ void MembershipEngine::Bootstrap(const Configuration& config) {
         return QuorumSatisfied(t.strong);
       });
   ReconcileSelfRole();
-  for (const ConfigObserver& observer : observers_) observer(config_);
 }
 
 void MembershipEngine::Reset() {
@@ -340,7 +339,6 @@ void MembershipEngine::OnTruncated(storage::LogIndex from_index) {
   }
   ctx_->PersistConfig(config_.Encode(), config_index_);
   ReconcileSelfRole();
-  for (const ConfigObserver& observer : observers_) observer(config_);
 }
 
 void MembershipEngine::InstallRecovered(const Configuration& config,
@@ -349,7 +347,6 @@ void MembershipEngine::InstallRecovered(const Configuration& config,
   config_.Normalize();
   config_index_ = at;
   ReconcileSelfRole();
-  for (const ConfigObserver& observer : observers_) observer(config_);
 }
 
 void MembershipEngine::Install(const Configuration& config,
@@ -360,7 +357,6 @@ void MembershipEngine::Install(const Configuration& config,
   config_index_ = at;
   ctx_->PersistConfig(config_.Encode(), at);
   ReconcileSelfRole();
-  for (const ConfigObserver& observer : observers_) observer(config_);
 }
 
 void MembershipEngine::ReconcileSelfRole() {

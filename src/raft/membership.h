@@ -1,7 +1,6 @@
 #ifndef NBRAFT_RAFT_MEMBERSHIP_H_
 #define NBRAFT_RAFT_MEMBERSHIP_H_
 
-#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -135,14 +134,6 @@ class MembershipEngine {
   bool Knows(net::NodeId id) const { return config_.Knows(id); }
   bool SelfIsVoter() const;
 
-  /// Observes every configuration change taking effect on this node (the
-  /// harness uses it to invalidate shard-router hints and start learner
-  /// recovery).
-  using ConfigObserver = std::function<void(const Configuration&)>;
-  void add_config_observer(ConfigObserver observer) {
-    observers_.push_back(std::move(observer));
-  }
-
  private:
   /// Leader-side: appends `next` as a config log entry and replicates it
   /// (the config-entry twin of the BecomeLeader no-op append).
@@ -167,7 +158,6 @@ class MembershipEngine {
   /// Supplanted configurations, oldest first: (index of the entry that
   /// replaced them, the configuration that was in effect before it).
   std::vector<std::pair<storage::LogIndex, Configuration>> history_;
-  std::vector<ConfigObserver> observers_;
 };
 
 }  // namespace nbraft::raft

@@ -21,7 +21,6 @@ RaftClient::RaftClient(sim::Simulator* sim, net::SimNetwork* network,
   NBRAFT_CHECK(net::IsClientId(id));
   NBRAFT_CHECK_GT(options_.backoff_base, 0);
   NBRAFT_CHECK_GE(options_.backoff_cap, options_.backoff_base);
-  NBRAFT_CHECK_GE(options_.backoff_multiplier, 1.0);
   leader_guess_ = servers_[0];
 }
 
@@ -122,7 +121,7 @@ SimDuration RaftClient::CurrentTimeout() {
   double wait = static_cast<double>(options_.backoff_base);
   const double cap = static_cast<double>(options_.backoff_cap);
   for (int k = 0; k < consecutive_timeouts_ && wait < cap; ++k) {
-    wait *= options_.backoff_multiplier;
+    wait *= 2.0;
   }
   wait = std::min(wait, cap);
   auto timeout = static_cast<SimDuration>(wait);

@@ -59,13 +59,12 @@ class RaftClient {
 
     /// Resend timeout for the first attempt of a request. Consecutive
     /// timeouts of the same request back off exponentially:
-    ///   wait(k) = min(backoff_cap, backoff_base * backoff_multiplier^k)
+    ///   wait(k) = min(backoff_cap, backoff_base * 2^k)
     /// plus a deterministic jitter drawn from the client's seeded RNG (up
     /// to wait/4), so a fleet of clients stranded by the same fault does
     /// not resend in lockstep. Any response resets the backoff to base.
     SimDuration backoff_base = Millis(1500);
     SimDuration backoff_cap = Millis(8000);
-    double backoff_multiplier = 2.0;
 
     /// Stop issuing after this many requests (0 = unlimited).
     uint64_t max_requests = 0;

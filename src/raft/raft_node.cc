@@ -59,20 +59,11 @@ RaftNode::RaftNode(sim::Simulator* sim, net::SimNetwork* network,
       peers_(std::move(peers)),
       options_(options),
       state_machine_(std::move(state_machine)),
-      rng_(sim->rng()->Next()) {
+      rng_(sim->rng()->Next()),
+      cpu_(options_.shared_cpu) {
   NBRAFT_CHECK(state_machine_ != nullptr);
+  NBRAFT_CHECK(options_.shared_cpu != nullptr);
   durability_ = std::make_unique<DurabilityCoordinator>(this);
-  if (options_.shared_cpu != nullptr) {
-    // Multi-Raft: the physical host's pool, shared with co-resident
-    // groups. The substrate configured its lane count and switch costs.
-    cpu_ = options_.shared_cpu;
-  } else {
-    owned_cpu_ = std::make_unique<sim::CpuExecutor>(
-        sim_, options_.cpu_lanes, "node" + std::to_string(id_) + ".cpu");
-    cpu_ = owned_cpu_.get();
-    cpu_->set_switch_cost(options_.costs.context_switch_cost,
-                          options_.costs.max_switch_overhead);
-  }
   index_lane_ = std::make_unique<sim::CpuExecutor>(
       sim_, 1, "node" + std::to_string(id_) + ".index");
   apply_lane_ = std::make_unique<sim::CpuExecutor>(

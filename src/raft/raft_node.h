@@ -113,20 +113,10 @@ class RaftNode : public NodeContext {
   void set_journal(obs::Journal* journal);
 
   using LeaderObserver = ElectionEngine::LeaderObserver;
-  /// Registers a leadership callback (multicast — the safety oracle and
-  /// the shard router both listen; see ElectionEngine::add_leader_observer).
+  /// Registers a leadership callback (multicast — each chaos safety
+  /// oracle listens; see ElectionEngine::add_leader_observer).
   void add_leader_observer(LeaderObserver observer) {
     election_->add_leader_observer(std::move(observer));
-  }
-  /// Historical name; appends like add_leader_observer.
-  void set_leader_observer(LeaderObserver observer) {
-    election_->add_leader_observer(std::move(observer));
-  }
-
-  /// Registers a configuration-change callback (multicast — the shard
-  /// router listens to invalidate stale leader hints for removed nodes).
-  void add_config_observer(MembershipEngine::ConfigObserver observer) {
-    membership_->add_config_observer(std::move(observer));
   }
 
   /// Multiplies the randomized election timeout (chaos clock skew; 1.0 =
@@ -243,10 +233,9 @@ class RaftNode : public NodeContext {
   std::unique_ptr<tsdb::StateMachine> state_machine_;
   nbraft::Rng rng_;
 
-  // Modelled CPU resources. The general pool is owned unless
-  // options.shared_cpu injected the physical host's shared pool.
-  std::unique_ptr<sim::CpuExecutor> owned_cpu_;
-  sim::CpuExecutor* cpu_ = nullptr;               ///< General worker pool.
+  // Modelled CPU resources: the host's shared pool plus this replica's
+  // serial lanes.
+  sim::CpuExecutor* cpu_;                         ///< General worker pool.
   std::unique_ptr<sim::CpuExecutor> index_lane_;  ///< Serial indexing lock.
   std::unique_ptr<sim::CpuExecutor> apply_lane_;  ///< Ordered apply.
   std::unique_ptr<sim::CpuExecutor> log_lock_lane_;  ///< Follower log lock.

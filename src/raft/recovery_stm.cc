@@ -98,7 +98,7 @@ void RecoveryStm::RunRound(net::NodeId learner) {
     // prefix, so WEAK_ACCEPT window holes can never fake eligibility.
     state.stage = Stage::kCaughtUp;
     MembershipEngine* membership = ctx_->membership();
-    if (opts.auto_promote && membership != nullptr &&
+    if (membership != nullptr &&
         membership->IsLearner(learner) &&
         membership->ProposePromote(learner)) {
       // Promotion proposed; the joint change takes it from here and the

@@ -23,7 +23,7 @@ class NodeContext;
 ///     traffic never starves live replication;
 ///   kCaughtUp: the learner's durable contiguous prefix is within
 ///     `promotion_lag` of the leader's last index — eligible for
-///     promotion to voter (auto-proposed when `auto_promote` is set).
+///     promotion to voter, which the leader proposes at once.
 ///
 /// Rounds are timer-driven on a fixed interval; a round that observes no
 /// progress backs off exponentially from `backoff_base` up to

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "craft/reed_solomon.h"
 #include "raft/commit_applier.h"
 #include "raft/election_engine.h"
 #include "raft/membership.h"
@@ -112,35 +111,26 @@ void ReplicationPipeline::IndexAndReplicate(ClientRequest req) {
   const int required = RequiredStrong(k > 0, k);
 
   if (k > 0) {
-    // Fragment the payload. Benchmarks model the coder's cost and shard
-    // sizes; tests/examples run the real Reed–Solomon coder.
+    // Fragment the payload: the coder's CPU cost and shard sizes are
+    // modelled, not computed.
     fragment_required_[entry.index] = k;
     const SimDuration encode_cost = PerKib(
         ctx_->options().costs.encode_cost_per_kib, entry.payload.size());
     const uint64_t epoch = core.epoch;
     const storage::LogIndex index = entry.index;
-    nbraft::Buffer payload = entry.payload;  // Shares the log's bytes.
-    ctx_->cpu()->Submit(encode_cost, [this, epoch, index,
-                                      payload = std::move(payload)]() {
+    const size_t payload_size = entry.payload.size();
+    ctx_->cpu()->Submit(encode_cost, [this, epoch, index, payload_size]() {
       const CoreState& c = ctx_->core();
       if (c.crashed || epoch != c.epoch || c.role != Role::kLeader) return;
       const auto it = fragment_required_.find(index);
       if (it == fragment_required_.end()) return;
       const int kk = it->second;
-      std::vector<nbraft::Buffer> shards;
-      if (ctx_->options().real_erasure_coding) {
-        craft::ReedSolomon rs(kk, ctx_->cluster_size() - kk);
-        std::vector<std::string> coded = rs.Encode(payload);
-        shards.reserve(coded.size());
-        for (std::string& shard : coded) shards.emplace_back(std::move(shard));
-      } else {
-        // Modelled shards all carry the same filler bytes: one allocation
-        // shared across the whole shard set.
-        const size_t shard_size = (payload.size() + kk - 1) / kk;
-        shards.assign(static_cast<size_t>(ctx_->cluster_size()),
-                      nbraft::Buffer(std::string(shard_size, 'f')));
-      }
-      fragment_cache_[index] = std::move(shards);
+      // Modelled shards all carry the same filler bytes: one allocation
+      // shared across the whole shard set.
+      const size_t shard_size = (payload_size + kk - 1) / kk;
+      fragment_cache_[index].assign(
+          static_cast<size_t>(ctx_->cluster_size()),
+          nbraft::Buffer(std::string(shard_size, 'f')));
       auto e = ctx_->log().At(index);
       if (e.ok()) ReplicateEntry(e.value());
     });

@@ -146,8 +146,6 @@ struct MembershipOptions {
   /// Capped exponential backoff for rounds that observe no progress.
   SimDuration recovery_backoff_base = Millis(20);
   SimDuration recovery_backoff_cap = Millis(500);
-  /// Leader auto-proposes promotion once a learner is caught up.
-  bool auto_promote = true;
 };
 
 /// Per-node protocol configuration. A single RaftNode implements every
@@ -166,9 +164,9 @@ struct RaftOptions {
 
   /// Externally owned general CPU pool shared by every replica on this
   /// node's physical host (multi-Raft: co-resident groups contend for the
-  /// host's cores). Null (the default) gives the node its own pool of
-  /// `cpu_lanes` lanes. The serial index/apply/log-lock lanes stay
-  /// per-replica either way — they model software locks, not cores.
+  /// host's cores). Required: the harness Substrate owns one per host. The
+  /// serial index/apply/log-lock lanes stay per-replica — they model
+  /// software locks, not cores.
   sim::CpuExecutor* shared_cpu = nullptr;
 
   /// Dispatchers per follower (N_csm): concurrent in-flight AppendEntries
@@ -183,10 +181,6 @@ struct RaftOptions {
   /// acquisition); on the NB-Raft path the batch never reaches past the
   /// follower's sliding window.
   int max_batch_entries = 1;
-
-  /// CPU cores modelled per node (paper testbed: large SMP boxes; what
-  /// matters is the ratio of cores to concurrent requests).
-  int cpu_lanes = 16;
 
   /// Log compaction: once more than this many applied entries sit in the
   /// log, snapshot the state machine and compact the prefix (0 disables).
@@ -231,11 +225,10 @@ struct RaftOptions {
   bool leader_lease = false;
 
   // ---- Variant flags ----
-  bool erasure = false;      ///< CRaft: replicate RS fragments.
-  /// Run the actual Reed–Solomon coder on every entry (tests/examples).
-  /// Benchmarks leave this off: fragment sizes and CPU costs are modelled,
-  /// the coder itself is exercised by its own unit tests and microbench.
-  bool real_erasure_coding = false;
+  /// CRaft: replicate RS fragments. Fragment sizes and coding CPU cost are
+  /// modelled; the coder in src/craft is exercised by its own unit tests
+  /// and microbench.
+  bool erasure = false;
   bool ecraft = false;       ///< ECRaft: erasure-coded degraded mode too.
   int kbucket_size = 0;      ///< KRaft: relay bucket size; 0 = off.
   bool verify_group = false; ///< VGRaft: per-entry hash + signature.

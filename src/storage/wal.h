@@ -13,10 +13,11 @@ namespace nbraft::storage {
 /// File-backed write-ahead log of encoded `LogEntry` records.
 ///
 /// The simulator models persistence *cost* instead of doing real I/O (to
-/// stay deterministic), but the WAL is a real durable implementation used
-/// by the examples and tested for crash-tail tolerance: a torn final record
-/// is detected by its CRC and discarded on replay, as Raft's durable-log
-/// assumption (paper Sec. IV) requires.
+/// stay deterministic), but the WAL is a real durable implementation: the
+/// `wal_dir` durability backend (`WalFileBackend`) writes through it, and it is
+/// tested for crash-tail tolerance: a torn final record is detected by its
+/// CRC and discarded on replay, as Raft's durable-log assumption (paper
+/// Sec. IV) requires.
 class Wal {
  public:
   Wal() = default;

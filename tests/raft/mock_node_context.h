@@ -43,8 +43,7 @@ class MockNodeContext : public raft::NodeContext {
         options_(options),
         rng_(sim->rng()->Next()),
         state_machine_(std::make_unique<tsdb::TsdbStateMachine>()) {
-    cpu_ = std::make_unique<sim::CpuExecutor>(sim_, options_.cpu_lanes,
-                                              "mock.cpu");
+    cpu_ = std::make_unique<sim::CpuExecutor>(sim_, /*lanes=*/16, "mock.cpu");
     index_lane_ = std::make_unique<sim::CpuExecutor>(sim_, 1, "mock.index");
     apply_lane_ = std::make_unique<sim::CpuExecutor>(sim_, 1, "mock.apply");
     log_lock_lane_ =

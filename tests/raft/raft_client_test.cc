@@ -40,7 +40,6 @@ class RaftClientTest : public ::testing::Test {
     options.pipeline_window = window;
     options.backoff_base = Millis(100);
     options.backoff_cap = Millis(400);
-    options.backoff_multiplier = 2.0;
     return options;
   }
 
