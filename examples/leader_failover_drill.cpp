@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < cluster.num_nodes(); ++i) {
     if (cluster.node(i) == new_leader) leader_index = i;
   }
-  const uint64_t survived = cluster.CountUniqueRequestsInLog(leader_index);
+  const uint64_t survived = cluster.CountUniqueRequestsInLog(0, leader_index);
   const uint64_t lost = issued - std::min(survived, issued);
 
   std::printf("\nrequests issued   : %llu\n",

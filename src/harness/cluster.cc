@@ -59,7 +59,6 @@ Cluster::Cluster(ClusterConfig config)
   options.release_applied_payloads = config_.release_payloads;
   options.snapshot_threshold = config_.snapshot_threshold;
   options.snapshot_keep_tail = config_.snapshot_keep_tail;
-  options.wal_dir = config_.wal_dir;
   options.disk = config_.disk;
   if (config_.promotion_lag >= 0) {
     options.membership.promotion_lag = config_.promotion_lag;

@@ -91,7 +91,6 @@ class Cluster {
   /// voter. Returns false when the group has no leader, membership is
   /// dormant, or another change is still in flight — retry later.
   bool AddNode(int g, int i);
-  bool AddNode(int i) { return AddNode(0, i); }
 
   /// Removes host `i`'s replica from group `g`'s configuration (joint
   /// consensus for voters, a plain entry for learners). Removing the
@@ -99,13 +98,11 @@ class Cluster {
   /// retry once the new leader is seated. Returns false likewise with no
   /// leader or a change in flight.
   bool RemoveNode(int g, int i);
-  bool RemoveNode(int i) { return RemoveNode(0, i); }
 
   /// Asks group `g`'s leader to hand leadership to host `i`'s replica
   /// (TimeoutNow). Returns false with no leader, an ineligible target, or
   /// when `i` already leads.
   bool TransferLeadership(int g, int i);
-  bool TransferLeadership(int i) { return TransferLeadership(0, i); }
 
   // ---- Host-scoped chaos faults (all co-resident replicas) ----
 
@@ -213,11 +210,8 @@ class Cluster {
   /// Committed-prefix agreement within every group.
   Status CheckCommittedPrefixes() const;
 
-  /// Counts distinct client request ids in group 0 replica `node_index`'s
-  /// log — the survivor count of the paper's data-loss experiment.
-  uint64_t CountUniqueRequestsInLog(int node_index) const {
-    return groups_[0]->CountUniqueRequestsInLog(node_index);
-  }
+  /// Counts distinct client request ids in group `g` replica `r`'s log —
+  /// the survivor count of the paper's data-loss experiment.
   uint64_t CountUniqueRequestsInLog(int g, int r) const {
     return groups_[static_cast<size_t>(g)]->CountUniqueRequestsInLog(r);
   }

@@ -84,16 +84,13 @@ struct ClusterConfig {
   int64_t snapshot_threshold = 0;
   int64_t snapshot_keep_tail = 64;
 
-  /// Real WAL durability directory forwarded to every node ("" = off).
-  std::string wal_dir;
-
-  /// Simulated durable disk forwarded to every node (disk.enabled = on;
-  /// ignored when wal_dir is set — a real WAL wins). See raft::DiskOptions.
+  /// Simulated durable disk forwarded to every node (disk.enabled = on).
+  /// See raft::DiskOptions.
   raft::DiskOptions disk;
 
   /// Test hook forwarded to every node: builds the durable-log backend
-  /// instead of the wal_dir/disk selection (e.g. an injected failing
-  /// backend for storage-error-path tests).
+  /// when `disk` is off (e.g. an injected failing backend for
+  /// storage-error-path tests).
   std::function<std::unique_ptr<storage::LogBackend>(int64_t node_id)>
       backend_factory;
   SimDuration election_timeout = Millis(500);

@@ -78,7 +78,7 @@ LossResult RunLossExperiment(const ClusterConfig& config, SimDuration run_time,
     if (cluster.node(i) == new_leader) leader_index = i;
   }
   NBRAFT_CHECK_GE(leader_index, 0);
-  out.requests_survived = cluster.CountUniqueRequestsInLog(leader_index);
+  out.requests_survived = cluster.CountUniqueRequestsInLog(0, leader_index);
   if (out.requests_issued > 0) {
     const uint64_t survived =
         std::min(out.requests_survived, out.requests_issued);

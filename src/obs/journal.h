@@ -43,7 +43,7 @@ enum class JournalEventKind : uint8_t {
   kDiskFsync,       ///< a = durable entry frontier, b = barrier latency ns.
   kStorageFailure,  ///< a = 1 leader step-down / 0 follower halt.
   // lifecycle.
-  kCrash,     ///< b = 1 when the durable image survives (disk/WAL mode).
+  kCrash,     ///< b = 1 when the durable image survives (disk mode).
   kRestart,   ///< —
   kRecovery,  ///< a = recovered last index, b = 1 when quarantined.
   // chaos.

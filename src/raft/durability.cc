@@ -31,17 +31,14 @@ void DurabilityCoordinator::Detach() {
 void DurabilityCoordinator::PersistEntry(const storage::LogEntry& entry) {
   if (log_ == nullptr) return;
   pending_entry_frontier_ = std::max(pending_entry_frontier_, entry.index);
-  AfterAppend(log_->AppendEntry(entry), entry.EncodedSize());
+  AfterAppend(log_->AppendEntry(entry));
 }
 
 void DurabilityCoordinator::PersistTruncate(storage::LogIndex from_index) {
   if (log_ == nullptr) return;
   pending_entry_frontier_ =
       std::min(pending_entry_frontier_, from_index - 1);
-  storage::LogEntry marker;
-  marker.index = storage::DurableLog::kTruncateMarker;
-  marker.term = from_index;
-  AfterAppend(log_->AppendTruncate(from_index), marker.EncodedSize());
+  AfterAppend(log_->AppendTruncate(from_index));
 }
 
 void DurabilityCoordinator::PersistHardState(storage::Term term,
@@ -50,11 +47,7 @@ void DurabilityCoordinator::PersistHardState(storage::Term term,
   storage::DurableLog::HardState hs;
   hs.term = term;
   hs.voted_for = voted_for;
-  storage::LogEntry marker;
-  marker.index = storage::DurableLog::kHardStateMarker;
-  marker.term = term;
-  marker.client_id = voted_for;
-  AfterAppend(log_->AppendHardState(hs), marker.EncodedSize());
+  AfterAppend(log_->AppendHardState(hs));
 }
 
 void DurabilityCoordinator::PersistSnapshot(storage::LogIndex index,
@@ -62,40 +55,27 @@ void DurabilityCoordinator::PersistSnapshot(storage::LogIndex index,
                                             const nbraft::Buffer& data,
                                             bool installed) {
   if (log_ == nullptr) return;
-  storage::LogEntry marker;
-  marker.index = storage::DurableLog::kSnapshotMarker;
-  marker.term = index;
-  marker.prev_term = term;
-  marker.payload = data;
-  AfterAppend(log_->AppendSnapshot(index, term, data, installed),
-              marker.EncodedSize());
+  AfterAppend(log_->AppendSnapshot(index, term, data, installed));
 }
 
 void DurabilityCoordinator::PersistCompact(storage::LogIndex upto) {
   if (log_ == nullptr) return;
-  storage::LogEntry marker;
-  marker.index = storage::DurableLog::kCompactMarker;
-  marker.term = upto;
-  AfterAppend(log_->AppendCompact(upto), marker.EncodedSize());
+  AfterAppend(log_->AppendCompact(upto));
 }
 
 void DurabilityCoordinator::PersistConfig(const std::string& encoded,
                                           storage::LogIndex at) {
   if (log_ == nullptr) return;
-  storage::LogEntry marker;
-  marker.index = storage::DurableLog::kConfigMarker;
-  marker.term = at;
-  marker.payload = nbraft::Buffer(encoded);
-  AfterAppend(log_->AppendConfig(encoded, at), marker.EncodedSize());
+  AfterAppend(log_->AppendConfig(encoded, at));
 }
 
-void DurabilityCoordinator::AfterAppend(const Status& appended,
-                                        size_t encoded_size) {
-  if (!appended.ok()) {
+void DurabilityCoordinator::AfterAppend(const Result<size_t>& staged) {
+  if (!staged.ok()) {
     ++ctx_->stats().storage_failures;
-    ctx_->OnStorageFailure(appended);
+    ctx_->OnStorageFailure(staged.status());
     return;
   }
+  const size_t encoded_size = *staged;
   ++appended_seq_;
   ctx_->stats().disk_bytes_written += encoded_size;
   if (obs::Journal* j = ctx_->journal(); j != nullptr) {
@@ -159,10 +139,8 @@ void DurabilityCoordinator::OnSyncDone(const Status& synced,
               static_cast<int64_t>(cover_frontier),
               static_cast<int64_t>(ctx_->Now() - issued_at));
   }
-  if (!instant()) {
-    ctx_->TracePhase(metrics::Phase::kFsync, issued_at, ctx_->Now(),
-                     ctx_->core().current_term, cover_frontier);
-  }
+  ctx_->TracePhase(metrics::Phase::kFsync, issued_at, ctx_->Now(),
+                   ctx_->core().current_term, cover_frontier);
   while (!waiters_.empty() && waiters_.front().first <= durable_seq_) {
     std::function<void()> fn = std::move(waiters_.front().second);
     waiters_.pop_front();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <utility>
 
+#include "common/result.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "storage/durable_log.h"
@@ -24,8 +25,7 @@ class NodeContext;
 /// through NodeContext::WhenDurable, which runs the claim inline while
 /// pending_records() is 0 and parks it here otherwise. Only the storage
 /// decides how often that happens. With no durable log (modelled
-/// durability, zero events) or an instant backend (the real WAL file
-/// stages and syncs inline) nothing is ever pending, so every claim
+/// durability, zero events) nothing is ever pending, so every claim
 /// completes inline and the event sequence is the paper's original one.
 /// On the simulated disk syncs cost virtual time on the disk's I/O lane,
 /// and claims wait for their covering sync.
@@ -49,9 +49,9 @@ class DurabilityCoordinator {
   /// and discards parked waiters (they died with the node's memory).
   void Detach();
 
-  /// True when persistence completes inline without consuming virtual
-  /// time, so a crash can never tear an appended record.
-  bool instant() const { return log_ == nullptr || log_->instant(); }
+  /// True when no durable log is attached (modelled durability): nothing
+  /// is staged, so a crash can never tear an appended record.
+  bool instant() const { return log_ == nullptr; }
 
   // ---- Persist operations (stage a record + schedule its barrier) ----
   void PersistEntry(const storage::LogEntry& entry);
@@ -74,13 +74,14 @@ class DurabilityCoordinator {
   }
 
   /// Records staged but not yet covered by a completed fsync (telemetry:
-  /// the pending-barrier backlog; always 0 in detached/instant modes).
+  /// the pending-barrier backlog; always 0 when detached).
   uint64_t pending_records() const { return appended_seq_ - durable_seq_; }
 
  private:
-  /// Common tail of every Persist op: account the staged record, surface
-  /// errors, and schedule the covering barrier.
-  void AfterAppend(const Status& appended, size_t encoded_size);
+  /// Common tail of every Persist op: account the staged record (its
+  /// encoded size, as DurableLog reports it), surface errors, and schedule
+  /// the covering barrier.
+  void AfterAppend(const Result<size_t>& staged);
   void MaybeSync();
   void IssueSync();
   void OnSyncDone(const Status& synced, uint64_t cover_seq,

@@ -31,7 +31,7 @@ class RecoveryStm;
 /// router (RaftNode); the engines access it through NodeContext::core() so
 /// ownership stays in one place while the logic is layered.
 struct CoreState {
-  // ---- Durable (survives a crash; recovered from the WAL when real
+  // ---- Durable (survives a crash; recovered from the disk when real
   // durability is on) ----
   storage::Term current_term = 0;
   net::NodeId voted_for = net::kInvalidNode;

@@ -70,7 +70,7 @@ struct NodeStats {
   /// recovery STM's promotion rule must see through.
   uint64_t learner_gap_max = 0;
 
-  // Durable storage (non-zero only with a real WAL or a simulated disk).
+  // Durable storage (non-zero only with a durable log attached).
   uint64_t fsyncs_completed = 0;
   uint64_t disk_bytes_written = 0;  ///< Encoded record bytes staged.
   uint64_t storage_failures = 0;    ///< Failed writes/fsyncs surfaced.

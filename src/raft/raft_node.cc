@@ -1,6 +1,5 @@
 #include "raft/raft_node.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "common/logging.h"
@@ -86,13 +85,10 @@ void RaftNode::Start() {
   NBRAFT_CHECK(!started_);
   started_ = true;
   BootstrapMembership();
-  if (!options_.wal_dir.empty()) {
-    RecoverFromWal();
-  } else if (options_.disk.enabled) {
+  if (options_.disk.enabled) {
     storage::SimDisk::Options dopts;
     dopts.write_latency = options_.disk.write_latency;
     dopts.fsync_latency = options_.disk.fsync_latency;
-    dopts.bytes_per_us = options_.disk.bytes_per_us;
     dopts.fault_seed = options_.disk.fault_seed;
     dopts.shared_io_lane = options_.disk.shared_io_lane;
     disk_ = std::make_unique<storage::SimDisk>(sim_, dopts, id_);
@@ -123,13 +119,8 @@ void RaftNode::Crash() {
   core_.leader = net::kInvalidNode;
   if (durable_ != nullptr) {
     // Real durability: everything in memory dies with the process; only
-    // the durable image (WAL file or simulated disk) survives.
+    // the durable image survives.
     durability_->Detach();
-    const Status closed = durable_->Close();
-    if (!closed.ok()) {
-      NBRAFT_LOG(Warn) << "node " << id_
-                       << ": durable log close failed: " << closed.ToString();
-    }
     durable_.reset();
     log_ = storage::RaftLog();
     core_.current_term = 0;
@@ -162,11 +153,7 @@ void RaftNode::Restart() {
   // before recovery so recovered config markers land on an active engine
   // (and win over the construction-time roster).
   BootstrapMembership();
-  if (!options_.wal_dir.empty()) {
-    RecoverFromWal();
-  } else if (disk_ != nullptr) {
-    RecoverFromDisk();
-  }
+  if (disk_ != nullptr) RecoverFromDisk();
   OpenDurableLog();
   network_->SetNodeUp(id_, true);
   election_->ArmElectionTimer();
@@ -291,15 +278,8 @@ void RaftNode::SetCpuSpeedFactor(double factor) {
 // Durability
 // ---------------------------------------------------------------------------
 
-std::string RaftNode::WalPath() const {
-  return options_.wal_dir + "/node_" + std::to_string(id_) + ".wal";
-}
-
 void RaftNode::OpenDurableLog() {
-  if (!options_.wal_dir.empty()) {
-    durable_ = std::make_unique<storage::DurableLog>();
-    NBRAFT_CHECK(durable_->Open(WalPath()).ok());
-  } else if (disk_ != nullptr) {
+  if (disk_ != nullptr) {
     durable_ = std::make_unique<storage::DurableLog>();
     durable_->OpenWith(std::make_unique<storage::SimDiskBackend>(disk_.get()));
   } else if (options_.backend_factory) {
@@ -345,7 +325,7 @@ void RaftNode::PersistConfig(const std::string& encoded,
 }
 
 storage::LogIndex RaftNode::DurableEntryFrontier() const {
-  // Instant (or modelled) durability: everything appended is durable.
+  // Modelled durability: everything appended is durable.
   if (durability_->instant()) return log_.LastIndex();
   return durability_->durable_entry_frontier();
 }
@@ -382,14 +362,6 @@ void RaftNode::ClearHealQuarantine() {
   core_.heal_quarantine = false;
   core_.heal_target = 0;
   if (disk_ != nullptr) disk_->ClearHealScar();
-}
-
-void RaftNode::RecoverFromWal() {
-  const std::string path = WalPath();
-  if (!std::filesystem::exists(path)) return;  // Fresh node.
-  auto recovered = storage::DurableLog::Recover(path);
-  NBRAFT_CHECK(recovered.ok()) << recovered.status().ToString();
-  ApplyRecovered(std::move(recovered).value());
 }
 
 void RaftNode::RecoverFromDisk() {

@@ -42,9 +42,9 @@ namespace nbraft::raft {
 ///   - CommitApplier        VoteList commit, ordered apply, compaction
 ///
 /// RaftNode itself owns only what must live in one place: the durable
-/// state (term, vote, log, WAL), the CoreState every engine reads, the CPU
-/// lanes, the network endpoint and the stats/tracer sinks. Everything is
-/// event-driven on the deterministic simulator.
+/// state (term, vote, log, durable log), the CoreState every engine reads,
+/// the CPU lanes, the network endpoint and the stats/tracer sinks.
+/// Everything is event-driven on the deterministic simulator.
 class RaftNode : public NodeContext {
  public:
   RaftNode(sim::Simulator* sim, net::SimNetwork* network, net::NodeId id,
@@ -211,10 +211,7 @@ class RaftNode : public NodeContext {
   // ---- Reads ----
   void HandleReadRequest(ReadRequest req);
 
-  // ---- Durability (wal_dir file, simulated disk, or injected backend) ----
-  std::string WalPath() const;
-  /// Replays the WAL file into log/term/vote/snapshot (skips fresh nodes).
-  void RecoverFromWal();
+  // ---- Durability (simulated disk or injected backend) ----
   /// Folds the simulated disk's durable record stream back into memory and
   /// repairs (quarantining) a corruption-cut stream.
   void RecoverFromDisk();

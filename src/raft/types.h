@@ -113,8 +113,6 @@ struct DiskOptions {
   bool enabled = false;
   SimDuration write_latency = 0;  ///< Media write cost per record.
   SimDuration fsync_latency = 0;  ///< Barrier cost per fsync.
-  /// Sustained media bandwidth in bytes/µs of virtual time; 0 = no charge.
-  double bytes_per_us = 0.0;
   /// Batch every record staged while a sync is in flight under the next
   /// single barrier (one fsync amortized over many records). Off = one
   /// fsync per persisted record, serialized on the I/O lane.
@@ -124,7 +122,7 @@ struct DiskOptions {
   uint64_t fault_seed = 1;
   /// Externally owned single-lane I/O executor shared by every disk on
   /// this node's physical host (multi-Raft: co-resident groups contend
-  /// for the host's media bandwidth and fsync serialization). Null (the
+  /// for the host's media time and fsync serialization). Null (the
   /// default) gives the disk its own lane.
   sim::CpuExecutor* shared_io_lane = nullptr;
 };
@@ -238,24 +236,20 @@ struct RaftOptions {
   /// inspect payloads.
   bool release_applied_payloads = false;
 
-  /// When non-empty, the node keeps a REAL write-ahead log under this
-  /// directory: a crash drops all in-memory state and a restart recovers
-  /// the log, term, vote and snapshot/compaction boundaries from the file
-  /// (the durable-log assumption of the paper's Sec. IV made concrete).
-  /// Takes precedence over `disk.enabled`.
-  std::string wal_dir;
-
-  /// Simulated durable disk (ignored when wal_dir is set).
+  /// Simulated durable disk: with `disk.enabled` a crash drops all
+  /// in-memory state and a restart recovers the log, term, vote and
+  /// snapshot/compaction boundaries from the disk image (the durable-log
+  /// assumption of the paper's Sec. IV made concrete). Off, durability is
+  /// modelled: a crash keeps memory.
   DiskOptions disk;
 
   /// Dynamic membership (joint consensus + learner recovery). Dormant by
   /// default.
   MembershipOptions membership;
 
-  /// Test hook: builds the node's durable-log backend instead of the
-  /// wal_dir / disk selection above (e.g. an injected failing backend for
-  /// storage-error-path tests). Implies durable semantics: a crash wipes
-  /// memory.
+  /// Test hook: builds the node's durable-log backend when `disk` is off
+  /// (e.g. an injected failing backend for storage-error-path tests).
+  /// Implies durable semantics: a crash wipes memory.
   std::function<std::unique_ptr<storage::LogBackend>(int64_t node_id)>
       backend_factory;
 

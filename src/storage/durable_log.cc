@@ -5,66 +5,58 @@
 
 namespace nbraft::storage {
 
-Status DurableLog::Open(const std::string& path) {
-  auto backend = std::make_unique<WalFileBackend>();
-  Status s = backend->Open(path);
-  if (!s.ok()) return s;
-  backend_ = std::move(backend);
-  return Status::Ok();
+Result<size_t> DurableLog::Stage(const LogEntry& record) {
+  Status appended = backend_->Append(record);
+  if (!appended.ok()) return appended;
+  return record.EncodedSize();
 }
 
-Status DurableLog::Close() {
-  if (backend_ == nullptr) return Status::Ok();
-  Status s = backend_->Close();
-  backend_.reset();
-  return s;
-}
-
-Status DurableLog::AppendEntry(const LogEntry& entry) {
+Result<size_t> DurableLog::AppendEntry(const LogEntry& entry) {
   NBRAFT_CHECK_GE(entry.index, 1) << "marker indices are reserved";
-  return backend_->Append(entry);
+  return Stage(entry);
 }
 
-Status DurableLog::AppendTruncate(LogIndex from_index) {
+Result<size_t> DurableLog::AppendTruncate(LogIndex from_index) {
   LogEntry marker;
   marker.index = kTruncateMarker;
   marker.term = from_index;  // Payload slot for the truncation point.
-  return backend_->Append(marker);
+  return Stage(marker);
 }
 
-Status DurableLog::AppendHardState(const HardState& state) {
+Result<size_t> DurableLog::AppendHardState(const HardState& state) {
   LogEntry marker;
   marker.index = kHardStateMarker;
   marker.term = state.term;
   marker.client_id = state.voted_for;
-  return backend_->Append(marker);
+  return Stage(marker);
 }
 
-Status DurableLog::AppendCompact(LogIndex upto) {
+Result<size_t> DurableLog::AppendCompact(LogIndex upto) {
   LogEntry marker;
   marker.index = kCompactMarker;
   marker.term = upto;  // Payload slot for the compaction point.
-  return backend_->Append(marker);
+  return Stage(marker);
 }
 
-Status DurableLog::AppendSnapshot(LogIndex index, Term term,
-                                  const nbraft::Buffer& data,
-                                  bool installed) {
+Result<size_t> DurableLog::AppendSnapshot(LogIndex index, Term term,
+                                          const nbraft::Buffer& data,
+                                          bool installed) {
   LogEntry marker;
   marker.index = kSnapshotMarker;
   marker.term = index;       // Last included index.
   marker.prev_term = term;   // Last included term.
   marker.client_id = installed ? 1 : 0;
   marker.payload = data;
-  return backend_->Append(marker);
+  return Stage(marker);
 }
 
-Status DurableLog::AppendConfig(const std::string& encoded, LogIndex at) {
+Result<size_t> DurableLog::AppendConfig(const std::string& encoded,
+                                        LogIndex at) {
   LogEntry marker;
   marker.index = kConfigMarker;
   marker.term = at;  // Payload slot for the effective index.
   marker.payload = nbraft::Buffer(encoded);
-  return backend_->Append(marker);
+  return Stage(marker);
 }
 
 void DurableLog::Sync(std::function<void(Status)> done) {
@@ -114,18 +106,6 @@ void DurableLog::FoldRecord(LogEntry entry, RecoveredState* out) {
       out->log.Append(std::move(entry));
       return;
   }
-}
-
-Result<DurableLog::RecoveredState> DurableLog::Recover(
-    const std::string& path) {
-  RecoveredState out;
-  size_t torn = 0;
-  Status replayed = Wal::Replay(
-      path, [&out](LogEntry entry) { FoldRecord(std::move(entry), &out); },
-      &torn);
-  if (!replayed.ok()) return replayed;
-  out.truncated_tail_bytes = torn;
-  return out;
 }
 
 DurableLog::RecoveredState DurableLog::RecoverFromDisk(const SimDisk& disk) {

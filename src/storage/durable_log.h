@@ -1,6 +1,7 @@
 #ifndef NBRAFT_STORAGE_DURABLE_LOG_H_
 #define NBRAFT_STORAGE_DURABLE_LOG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -8,11 +9,11 @@
 #include <utility>
 
 #include "common/buffer.h"
+#include "common/result.h"
 #include "common/status.h"
 #include "net/network.h"
 #include "storage/log_backend.h"
 #include "storage/raft_log.h"
-#include "storage/wal.h"
 
 namespace nbraft::storage {
 
@@ -24,9 +25,9 @@ class SimDisk;
 /// boundaries. Recovery folds the record stream back into a RaftLog + hard
 /// state + snapshot.
 ///
-/// Record stream format (each record framed by the Wal entry codec; the
-/// byte sink behind it is a pluggable LogBackend — real file or simulated
-/// disk):
+/// Record stream format (each record is one LogEntry, sized by its codec's
+/// EncodedSize; the store behind it is a pluggable LogBackend — the
+/// simulated disk, or a test double):
 ///   * append:     the LogEntry itself;
 ///   * truncate:   a marker entry (sentinel index scheme) naming the first
 ///     removed index;
@@ -80,59 +81,50 @@ class DurableLog {
 
   DurableLog() = default;
 
-  /// Opens (creating if needed) a real WAL file backend at `path`.
-  Status Open(const std::string& path);
-
-  /// Adopts an externally built backend (simulated disk, test double).
+  /// Adopts the backend that stores the records (simulated disk, test
+  /// double).
   void OpenWith(std::unique_ptr<LogBackend> backend) {
     backend_ = std::move(backend);
   }
 
-  Status Close();
-  bool is_open() const { return backend_ != nullptr; }
+  // Every Append* stages one record, durable after a covering Sync, and
+  // returns the record's encoded size (the bytes it occupies on the disk).
 
-  /// True when Sync completes inline without consuming virtual time.
-  bool instant() const {
-    return backend_ == nullptr || backend_->instant();
-  }
-
-  /// Stages an appended entry. Durable after a covering Sync.
-  Status AppendEntry(const LogEntry& entry);
+  /// Stages an appended entry.
+  Result<size_t> AppendEntry(const LogEntry& entry);
 
   /// Stages a suffix truncation starting at `from_index`.
-  Status AppendTruncate(LogIndex from_index);
+  Result<size_t> AppendTruncate(LogIndex from_index);
 
   /// Stages a term/vote change.
-  Status AppendHardState(const HardState& state);
+  Result<size_t> AppendHardState(const HardState& state);
 
   /// Stages a prefix compaction up to and including `upto`.
-  Status AppendCompact(LogIndex upto);
+  Result<size_t> AppendCompact(LogIndex upto);
 
   /// Stages a snapshot boundary: `installed` distinguishes a snapshot
   /// received via InstallSnapshot (which resets the log) from one taken
   /// locally (which leaves the log to a following compact record).
-  Status AppendSnapshot(LogIndex index, Term term,
-                        const nbraft::Buffer& data, bool installed);
+  Result<size_t> AppendSnapshot(LogIndex index, Term term,
+                                const nbraft::Buffer& data, bool installed);
 
   /// Stages a cluster-configuration change: the canonical encoded roster
   /// plus the log index at which it took effect. Recovery keeps the last
   /// one in the stream (rollbacks re-stage the supplanted roster).
-  Status AppendConfig(const std::string& encoded, LogIndex at);
+  Result<size_t> AppendConfig(const std::string& encoded, LogIndex at);
 
   /// Forwards a durability barrier to the backend.
   void Sync(std::function<void(Status)> done);
 
-  /// Folds `path`'s record stream into a recovered log + hard state.
-  /// Tolerates a torn final record (crash mid-write).
-  static Result<RecoveredState> Recover(const std::string& path);
-
-  /// Folds a simulated disk's durable record stream. Never fails: a
-  /// corrupt record cuts the stream there (reported via
-  /// `corrupt_dropped_records`), matching the file path's torn-tail
-  /// tolerance.
+  /// Folds a simulated disk's durable record stream into a recovered log
+  /// + hard state + snapshot. Never fails: a crash's torn tail is reported
+  /// (`truncated_tail_bytes`) and a corrupt record cuts the stream there
+  /// (`corrupt_dropped_records`).
   static RecoveredState RecoverFromDisk(const SimDisk& disk);
 
  private:
+  /// Hands `record` to the backend; on success returns its encoded size.
+  Result<size_t> Stage(const LogEntry& record);
   static void FoldRecord(LogEntry entry, RecoveredState* out);
 
   std::unique_ptr<LogBackend> backend_;

@@ -2,54 +2,28 @@
 #define NBRAFT_STORAGE_LOG_BACKEND_H_
 
 #include <functional>
-#include <string>
 
 #include "common/status.h"
 #include "storage/log_entry.h"
-#include "storage/wal.h"
 
 namespace nbraft::storage {
 
 /// The seam between DurableLog's typed record stream and whatever actually
-/// stores the bytes: the real WAL file, the simulated disk, or a test
-/// double. Records staged with Append become durable only once a covering
-/// Sync completes; what "durable" means (a real fsync, a virtual-time
-/// latency charge, an injected failure) is the backend's business.
+/// stores the records: the simulated disk (SimDiskBackend), or a test
+/// double injected through RaftOptions::backend_factory. Records staged
+/// with Append become durable only once a covering Sync completes; what
+/// "durable" means (a virtual-time latency charge, an injected failure) is
+/// the backend's business.
 class LogBackend {
  public:
   virtual ~LogBackend() = default;
-
-  /// True when Sync completes inline without consuming virtual time. An
-  /// instant backend never leaves a record un-synced across a simulated
-  /// crash, so the protocol layer may acknowledge writes immediately after
-  /// persisting them — exactly the pre-disk-model behavior.
-  virtual bool instant() const = 0;
 
   /// Stages one record. Not durable until a covering Sync completes.
   virtual Status Append(const LogEntry& record) = 0;
 
   /// Makes every record appended so far durable, then invokes `done` with
-  /// the outcome. Instant backends invoke `done` before returning.
+  /// the outcome.
   virtual void Sync(std::function<void(Status)> done) = 0;
-
-  virtual Status Close() = 0;
-};
-
-/// Real-file backend wrapping Wal. The fsync happens for real but costs no
-/// virtual time, so it is `instant` to the protocol layer.
-class WalFileBackend : public LogBackend {
- public:
-  Status Open(const std::string& path) { return wal_.Open(path); }
-
-  bool instant() const override { return true; }
-  Status Append(const LogEntry& record) override {
-    return wal_.Append(record);
-  }
-  void Sync(std::function<void(Status)> done) override { done(wal_.Sync()); }
-  Status Close() override { return wal_.Close(); }
-
- private:
-  Wal wal_;
 };
 
 }  // namespace nbraft::storage

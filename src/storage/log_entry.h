@@ -72,7 +72,7 @@ struct LogEntry {
   void EncodeTo(std::string* out) const;
 
   /// Exact byte size of EncodeTo's output, computed without encoding. The
-  /// simulated disk charges bandwidth and sizes torn tails from this.
+  /// simulated disk counts bytes written and sizes torn tails from this.
   size_t EncodedSize() const;
 
   /// Decodes one record from the front of `*in`, advancing it.

@@ -32,25 +32,25 @@ Status SimDisk::Append(const LogEntry& record) {
   r.entry = record;
   bytes_written_ += r.encoded_size;
   pending_write_cost_ += opts_.write_latency;
-  if (opts_.bytes_per_us > 0) {
-    pending_write_cost_ += static_cast<SimDuration>(
-        static_cast<double>(r.encoded_size) / opts_.bytes_per_us *
-        static_cast<double>(kMicrosecond));
-  }
-  if (record.index == DurableLog::kCompactMarker) {
-    // Compacted entries can never be read again (every recovery folds this
-    // marker or cuts before it together with everything it covers — the
-    // fault injector only rots records past the last marker), so their
-    // payload references are dropped to bound the disk image's memory.
-    const LogIndex upto = record.term;
-    for (Record& existing : records_) {
-      if (existing.entry.index >= 1 && existing.entry.index <= upto) {
-        existing.entry.payload.clear();
-      }
-    }
-  }
   records_.push_back(std::move(r));
   return Status::Ok();
+}
+
+void SimDisk::ReleaseCompactedPayloads(size_t from, size_t to) {
+  // Entries a durable compact marker covers can never be read again: every
+  // recovery folds the marker (a crash keeps it, and the fault injector
+  // only rots records past the last durable marker). Their payload
+  // references are dropped to bound the disk image's memory. A marker that
+  // is only staged releases nothing, since a crash may still tear it off
+  // and recovery would then replay the entries it covers.
+  for (size_t m = from; m < to; ++m) {
+    if (records_[m].entry.index != DurableLog::kCompactMarker) continue;
+    const LogIndex upto = records_[m].entry.term;
+    for (size_t i = 0; i < m; ++i) {
+      LogEntry& covered = records_[i].entry;
+      if (covered.index >= 1 && covered.index <= upto) covered.payload.clear();
+    }
+  }
 }
 
 void SimDisk::Sync(std::function<void(Status)> done) {
@@ -61,7 +61,10 @@ void SimDisk::Sync(std::function<void(Status)> done) {
   pending_write_cost_ = 0;
   io_lane_->Submit(cost, [this, cover, gen, done = std::move(done)]() mutable {
     if (gen != generation_) return;  // Crashed while the sync was in flight.
-    durable_records_ = std::max(durable_records_, cover);
+    if (cover > durable_records_) {
+      ReleaseCompactedPayloads(durable_records_, cover);
+      durable_records_ = cover;
+    }
     ++fsyncs_completed_;
     done(Status::Ok());
   });

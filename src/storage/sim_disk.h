@@ -16,24 +16,22 @@
 
 namespace nbraft::storage {
 
-/// A deterministic simulated disk: one node's durable byte store with
-/// write/fsync latency and bandwidth modeled on a dedicated single-lane
-/// I/O executor, a durable/volatile frontier (records staged but not yet
-/// covered by a completed fsync vanish on crash), and a seeded fault
-/// injector for torn tails, CRC-detected bit rot, transient write errors
-/// and fsync stalls.
+/// A deterministic simulated disk: one node's durable record store with
+/// write/fsync latency modeled on a dedicated single-lane I/O executor, a
+/// durable/volatile frontier (records staged but not yet covered by a
+/// completed fsync vanish on crash), and a seeded fault injector for torn
+/// tails, CRC-detected bit rot, transient write errors and fsync stalls.
 ///
 /// The disk stores *typed* records (the same LogEntry record stream
 /// DurableLog writes) rather than encoded bytes: payload Buffers are shared
-/// with the in-memory log, and byte costs come from the analytic
+/// with the in-memory log, and byte counts come from the analytic
 /// LogEntry::EncodedSize(), so the steady state stays zero-copy and
 /// allocation-free on the data path.
 ///
-/// Cost model: each Append accumulates `write_latency` plus a bandwidth
-/// charge for the record's encoded size; the accumulated cost is paid by
-/// the next fsync barrier (writes are buffered until the barrier, as on a
-/// real volatile-write-cache disk). Concurrent fsyncs serialize on the
-/// single I/O lane.
+/// Cost model: each Append accumulates `write_latency`; the accumulated
+/// cost is paid by the next fsync barrier (writes are buffered until the
+/// barrier, as on a real volatile-write-cache disk). Concurrent fsyncs
+/// serialize on the single I/O lane.
 ///
 /// The disk itself survives RaftNode::Crash(): the node's memory is wiped,
 /// the disk image persists, and Restart() recovers from it (see
@@ -43,16 +41,13 @@ class SimDisk {
   struct Options {
     SimDuration write_latency = 0;  ///< Media write cost per record.
     SimDuration fsync_latency = 0;  ///< Barrier cost per fsync.
-    /// Sustained media bandwidth in bytes per microsecond of virtual time;
-    /// 0 disables the per-byte charge.
-    double bytes_per_us = 0.0;
     /// Fault-injector rng stream; combined with the node id so each
     /// node's disk draws independently. Never touches the simulator rng.
     uint64_t fault_seed = 1;
     /// When set, the disk submits its I/O costs to this externally owned
     /// single-lane executor instead of creating its own. Several disks on
     /// one physical host share the lane, so co-resident consensus groups
-    /// contend for the host's media bandwidth and fsync serialization.
+    /// contend for the host's media time and fsync serialization.
     sim::CpuExecutor* shared_io_lane = nullptr;
   };
 
@@ -128,6 +123,10 @@ class SimDisk {
   sim::CpuExecutor* io_lane() { return io_lane_; }
 
  private:
+  /// Drops the payloads of entries covered by a compact marker among
+  /// records [from, to), which have just become durable.
+  void ReleaseCompactedPayloads(size_t from, size_t to);
+
   Options opts_;
   /// Owned lane when the disk is the host's only one; empty when
   /// Options::shared_io_lane injected the host-wide lane.
@@ -159,14 +158,12 @@ class SimDiskBackend : public LogBackend {
  public:
   explicit SimDiskBackend(SimDisk* disk) : disk_(disk) {}
 
-  bool instant() const override { return false; }
   Status Append(const LogEntry& record) override {
     return disk_->Append(record);
   }
   void Sync(std::function<void(Status)> done) override {
     disk_->Sync(std::move(done));
   }
-  Status Close() override { return Status::Ok(); }
 
  private:
   SimDisk* disk_;

@@ -296,7 +296,7 @@ TEST(ElasticScaleTest, GrowTransferShrinkLifecycle) {
   };
 
   for (int host = 1; host <= 4; ++host) {
-    ASSERT_TRUE(eventually([&]() { return cluster.AddNode(host); }))
+    ASSERT_TRUE(eventually([&]() { return cluster.AddNode(0, host); }))
         << "add " << host << " never accepted";
     // Catch-up + auto-promotion: the learner becomes a voter once its
     // durable prefix is within the promotion lag.
@@ -308,13 +308,14 @@ TEST(ElasticScaleTest, GrowTransferShrinkLifecycle) {
   raft::RaftNode* old_leader = cluster.leader();
   ASSERT_NE(old_leader, nullptr);
   const int target = old_leader->id() == 1 ? 2 : 1;
-  ASSERT_TRUE(eventually([&]() { return cluster.TransferLeadership(target); }));
+  ASSERT_TRUE(
+      eventually([&]() { return cluster.TransferLeadership(0, target); }));
   ASSERT_TRUE(eventually([&]() {
     raft::RaftNode* leader = cluster.leader();
     return leader != nullptr && leader->id() == target;
   })) << "leadership never moved to " << target;
 
-  ASSERT_TRUE(eventually([&]() { return cluster.RemoveNode(4); }));
+  ASSERT_TRUE(eventually([&]() { return cluster.RemoveNode(0, 4); }));
   ASSERT_TRUE(eventually([&]() { return voters() == 4; }));
   raft::RaftNode* leader = cluster.leader();
   ASSERT_NE(leader, nullptr);

@@ -113,7 +113,7 @@ TEST(AckSoundnessTest, EveryStrongAckIsInTheCommittedLog) {
     ASSERT_GE(leader_index, 0);
     const ClusterStats stats = cluster.Collect();
     EXPECT_LE(stats.requests_completed,
-              cluster.CountUniqueRequestsInLog(leader_index))
+              cluster.CountUniqueRequestsInLog(0, leader_index))
         << raft::ProtocolName(protocol);
   }
 }
@@ -142,7 +142,7 @@ TEST(AckSoundnessTest, AcksSurviveLeaderCrash) {
     }
   }
   ASSERT_GE(new_leader, 0);
-  EXPECT_GE(cluster.CountUniqueRequestsInLog(new_leader), acked_before);
+  EXPECT_GE(cluster.CountUniqueRequestsInLog(0, new_leader), acked_before);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(PersistenceLossTest, NoFailureNoLoss) {
     if (cluster.node(i)->role() == raft::Role::kLeader) leader_index = i;
   }
   ASSERT_GE(leader_index, 0);
-  EXPECT_EQ(cluster.CountUniqueRequestsInLog(leader_index),
+  EXPECT_EQ(cluster.CountUniqueRequestsInLog(0, leader_index),
             cluster.TotalRequestsIssued());
 }
 

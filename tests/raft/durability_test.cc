@@ -1,4 +1,4 @@
-// Storage-error paths: a failing Wal::Sync must surface as a leader
+// Storage-error paths: a failing LogBackend::Sync must surface as a leader
 // step-down or a follower halt — never as a process abort. Uses the
 // backend_factory hook to inject a backend whose fsyncs can be armed to
 // fail per node.
@@ -32,7 +32,6 @@ class FlakySyncBackend : public storage::LogBackend {
  public:
   FlakySyncBackend(FailSwitch* sw, int64_t id) : switch_(sw), id_(id) {}
 
-  bool instant() const override { return false; }
   Status Append(const storage::LogEntry&) override { return Status::Ok(); }
   void Sync(std::function<void(Status)> done) override {
     int& budget = switch_->fail_budget[id_];
@@ -42,7 +41,6 @@ class FlakySyncBackend : public storage::LogBackend {
       done(fail ? Status::IoError("injected fsync failure") : Status::Ok());
     });
   }
-  Status Close() override { return Status::Ok(); }
 
  private:
   FailSwitch* switch_;

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
+#include "storage/durable_log.h"
+#include "storage/log_backend.h"
 
 namespace nbraft::storage {
 namespace {
@@ -130,6 +140,88 @@ TEST(LogEntryTest, RandomizedRoundTripProperty) {
     auto decoded = LogEntry::DecodeFrom(&in);
     ASSERT_TRUE(decoded.ok());
     ASSERT_EQ(decoded.value(), e);
+  }
+}
+
+/// Captures every record DurableLog stages, so the marker records are
+/// checked exactly as DurableLog builds them.
+class CapturingBackend : public LogBackend {
+ public:
+  explicit CapturingBackend(std::vector<LogEntry>* out) : out_(out) {}
+  Status Append(const LogEntry& record) override {
+    out_->push_back(record);
+    return Status::Ok();
+  }
+  void Sync(std::function<void(Status)> done) override { done(Status::Ok()); }
+
+ private:
+  std::vector<LogEntry>* out_;
+};
+
+size_t EncodedLength(const LogEntry& e) {
+  std::string buf;
+  e.EncodeTo(&buf);
+  return buf.size();
+}
+
+TEST(LogEntryTest, EncodedSizeMatchesEncoding) {
+  // The simulated disk sizes records (bytes written, torn-tail draws) with
+  // EncodedSize() and never encodes; the codec is the reference it must
+  // match byte for byte.
+  std::vector<std::pair<std::string, LogEntry>> cases;
+  cases.emplace_back("data", SampleEntry());
+  cases.emplace_back("empty", MakeEntry(1, 1, 0));
+  cases.emplace_back("4 KiB payload",
+                     MakeEntry(9, 3, 3, std::string(4096, 'p')));
+  cases.emplace_back("70000-byte payload",
+                     MakeEntry(10, 3, 3, std::string(70000, 'q')));
+  LogEntry fragment = SampleEntry();
+  fragment.frag_shard = 4;
+  fragment.frag_k = 3;
+  fragment.full_size = 12288;
+  cases.emplace_back("fragment", fragment);
+  LogEntry released = MakeEntry(11, 3, 3, std::string(2048, 'r'));
+  released.ReleasePayload();
+  cases.emplace_back("released payload", released);
+  LogEntry large;
+  large.index = std::numeric_limits<LogIndex>::max();
+  large.term = std::numeric_limits<Term>::min();
+  large.prev_term = int64_t{1} << 40;
+  large.client_id = std::numeric_limits<net::NodeId>::min();
+  large.request_id = std::numeric_limits<uint64_t>::max();
+  large.frag_shard = std::numeric_limits<int32_t>::min();
+  large.frag_k = std::numeric_limits<uint32_t>::max();
+  large.full_size = std::numeric_limits<uint64_t>::max();
+  cases.emplace_back("large varints", large);
+
+  // DurableLog's five marker kinds, as it stages them (negative indices,
+  // snapshot and config payloads), plus one data entry; each Append*
+  // reports the size of the record it staged.
+  std::vector<LogEntry> staged;
+  DurableLog dl;
+  dl.OpenWith(std::make_unique<CapturingBackend>(&staged));
+  std::vector<size_t> reported;
+  const auto stage = [&reported](const Result<size_t>& r) {
+    ASSERT_TRUE(r.ok());
+    reported.push_back(*r);
+  };
+  stage(dl.AppendTruncate(int64_t{1} << 33));
+  stage(dl.AppendHardState({int64_t{1} << 20, net::kInvalidNode}));
+  stage(dl.AppendCompact(300));
+  stage(dl.AppendSnapshot(300, 7, nbraft::Buffer(std::string(5000, 's')),
+                          /*installed=*/true));
+  stage(dl.AppendConfig("v=0,1,2,3,4;n=7;l=5,6", 301));
+  stage(dl.AppendEntry(SampleEntry()));
+  ASSERT_EQ(staged.size(), 6u);
+  for (size_t i = 0; i < staged.size(); ++i) {
+    const std::string name = "staged index " + std::to_string(staged[i].index);
+    EXPECT_EQ(staged[i].index < 0, i < 5) << name;
+    EXPECT_EQ(reported[i], EncodedLength(staged[i])) << name;
+    cases.emplace_back(name, staged[i]);
+  }
+
+  for (const auto& [name, e] : cases) {
+    EXPECT_EQ(e.EncodedSize(), EncodedLength(e)) << name;
   }
 }
 
