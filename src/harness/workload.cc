@@ -18,8 +18,10 @@ IngestWorkload::IngestWorkload(Options options, uint64_t seed)
 
 std::string IngestWorkload::MakePayload(size_t target_size) {
   ++requests_;
-  std::vector<tsdb::Measurement> batch;
-  batch.reserve(static_cast<size_t>(options_.measurements_per_request));
+  batch_.clear();
+  // The slow sine wave every sensor rides on; one value per request.
+  const double wave =
+      20.0 + 5.0 * std::sin(static_cast<double>(requests_) / 100.0);
   for (int i = 0; i < options_.measurements_per_request; ++i) {
     tsdb::Measurement m;
     const uint64_t domain = options_.series_ids.empty()
@@ -34,15 +36,13 @@ std::string IngestWorkload::MakePayload(size_t target_size) {
     m.point.timestamp =
         clock_ms_ + static_cast<int64_t>(rng_.NextBounded(
                         static_cast<uint64_t>(options_.sampling_interval_ms)));
-    m.point.value = 20.0 + 5.0 * std::sin(static_cast<double>(requests_) /
-                                          100.0) +
-                    rng_.NextGaussian(0.0, 0.25);
-    batch.push_back(m);
+    m.point.value = wave + rng_.NextGaussian(0.0, 0.25);
+    batch_.push_back(m);
   }
   clock_ms_ += options_.sampling_interval_ms;
 
   std::string payload;
-  tsdb::EncodeIngestBatch(batch, target_size, &payload);
+  tsdb::EncodeIngestBatch(batch_, target_size, &payload);
   return payload;
 }
 

@@ -33,7 +33,8 @@ class IngestWorkload {
 
   IngestWorkload(Options options, uint64_t seed);
 
-  /// Builds one request payload of at least `target_size` bytes.
+  /// Builds one request payload of at least `target_size` bytes, with a
+  /// single allocation: the payload string itself.
   std::string MakePayload(size_t target_size);
 
   uint64_t requests_generated() const { return requests_; }
@@ -44,6 +45,7 @@ class IngestWorkload {
   std::unique_ptr<ZipfDistribution> zipf_;
   int64_t clock_ms_;
   uint64_t requests_ = 0;
+  std::vector<tsdb::Measurement> batch_;  ///< Reused by MakePayload.
 };
 
 }  // namespace nbraft::harness

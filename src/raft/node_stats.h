@@ -11,14 +11,13 @@ namespace nbraft::raft {
 
 /// Per-node metrics the harness aggregates after a run.
 ///
-/// These are raw struct fields, but everything that crosses into the
-/// observability pipeline (registry counters/gauges, sampler sources,
-/// journal events) is named under the canonical
-/// `subsystem.noun_verb[.nodeN]` scheme — the names live in
+/// These are raw struct fields. What crosses into the observability
+/// pipeline (sampler sources and journal events) is named under the
+/// canonical `subsystem.noun_verb[.nodeN]` scheme — the names live in
 /// src/obs/names.h and Journal::KindName, and DESIGN.md section "2e.
-/// Observability pipeline"
-/// documents each one. ToJson() keys stay snake_case field names; the
-/// scheme applies to the named metric streams, not struct members.
+/// Observability pipeline" documents each one. ToJson() keys stay
+/// snake_case field names; the scheme applies to the named metric
+/// streams, not struct members.
 struct NodeStats {
   /// Multi-Raft identity: which consensus group this replica serves and
   /// its replica ordinal within the group (both 0 in single-group

@@ -38,7 +38,7 @@ EventId Simulator::At(SimTime when, EventFn fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   heap_.push_back(HeapItem{when, next_seq_++, slot, s.generation});
-  std::push_heap(heap_.begin(), heap_.end(), Later);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   return MakeId(slot, s.generation);
 }
@@ -56,14 +56,23 @@ void Simulator::Cancel(EventId id) {
   Slot& s = slots_[slot];
   if (s.generation != static_cast<uint32_t>(id >> 32)) return;  // Stale id.
   s.fn = EventFn();
-  ++s.generation;  // Invalidates the heap record; reaped lazily at pop.
+  ++s.generation;  // Invalidates the heap record.
   free_slots_.push_back(static_cast<uint32_t>(slot));
   --live_;
+  BoundHeap();
+}
+
+void Simulator::BoundHeap() {
+  if (heap_.size() <= 2 * live_ + kHeapSlack) return;
+  std::erase_if(heap_, [this](const HeapItem& item) {
+    return slots_[item.slot].generation != item.generation;
+  });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Simulator::Step() {
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const HeapItem item = heap_.back();
     heap_.pop_back();
     Slot& s = slots_[item.slot];
@@ -77,6 +86,7 @@ bool Simulator::Step() {
     free_slots_.push_back(item.slot);
     --live_;
     ++events_processed_;
+    BoundHeap();
     if (fn) fn();
     return true;
   }
@@ -94,7 +104,7 @@ void Simulator::RunUntil(SimTime t) {
     // Reap cancelled heads so heap_.front().when is a live event time.
     const HeapItem& top = heap_.front();
     if (slots_[top.slot].generation != top.generation) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later);
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
       heap_.pop_back();
       continue;
     }

@@ -30,7 +30,12 @@ constexpr EventId kInvalidEventId = 0;
 /// recycled slots (no per-event heap allocation once the pool is warm —
 /// EventFn keeps small captures inline), the heap holds plain
 /// (when, seq, slot, generation) records, and Cancel is a generation bump
-/// with lazy deletion when the stale heap record surfaces at pop.
+/// that leaves a stale record behind. The heap is bounded to the live set:
+/// it never holds more than 2 * pending_events() + kHeapSlack records.
+/// Once stale records outnumber live ones by more than the slack, they are
+/// filtered out and the heap is rebuilt — amortized O(1) per cancel, so
+/// timer churn (election, RPC and client timeouts re-armed per request)
+/// cannot grow the heap past the events that can still fire.
 class Simulator {
  public:
   explicit Simulator(uint64_t seed);
@@ -66,6 +71,12 @@ class Simulator {
   uint64_t events_processed() const { return events_processed_; }
   size_t pending_events() const { return live_; }
 
+  /// Records in the event heap, live and cancelled; at most
+  /// 2 * pending_events() + kHeapSlack after every operation.
+  size_t heap_records() const { return heap_.size(); }
+
+  static constexpr size_t kHeapSlack = 1024;
+
  private:
   struct Slot {
     uint32_t generation = 1;
@@ -83,13 +94,21 @@ class Simulator {
     uint32_t generation;
   };
 
-  /// Min-heap comparator (std::push_heap builds a max-heap by `comp`).
-  static bool Later(const HeapItem& a, const HeapItem& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
+  /// Min-heap comparator (std::push_heap builds a max-heap by `comp`). A
+  /// function object, so the heap algorithms inline it into their sifts.
+  struct Later {
+    bool operator()(const HeapItem& a, const HeapItem& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
 
   uint32_t AcquireSlot();
+
+  /// Drops cancelled records once they outnumber live ones by more than
+  /// kHeapSlack. Pops follow the total order on (when, seq), so rebuilding
+  /// the heap never changes which event fires next.
+  void BoundHeap();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;

@@ -4,45 +4,18 @@
 
 namespace nbraft::tsdb {
 
-void BitWriter::Write(uint64_t value, int bits) {
-  NBRAFT_CHECK_GE(bits, 0);
-  NBRAFT_CHECK_LE(bits, 64);
-  if (bits == 0) return;
-  bit_count_ += static_cast<size_t>(bits);
-  if (bits < 64) value &= (~uint64_t{0}) >> (64 - bits);
-  int remaining = bits;
-  // Top up the partially filled byte with the high bits of `value`.
-  if (filled_ > 0) {
-    const int take = remaining < 8 - filled_ ? remaining : 8 - filled_;
-    const uint8_t chunk = static_cast<uint8_t>(
-        (value >> (remaining - take)) & ((uint32_t{1} << take) - 1));
-    current_ = static_cast<uint8_t>((current_ << take) | chunk);
-    filled_ += take;
-    remaining -= take;
-    if (filled_ == 8) {
-      out_->push_back(static_cast<char>(current_));
-      current_ = 0;
-      filled_ = 0;
-    }
+void BitWriter::AppendBigEndian(uint64_t word, int bytes) {
+  char buf[8];
+  for (int i = 0; i < bytes; ++i) {
+    buf[i] = static_cast<char>(word >> (56 - 8 * i));
   }
-  // Emit whole bytes directly.
-  while (remaining >= 8) {
-    remaining -= 8;
-    out_->push_back(static_cast<char>((value >> remaining) & 0xff));
-  }
-  // Stash the tail for the next Write.
-  if (remaining > 0) {
-    current_ =
-        static_cast<uint8_t>(value & ((uint32_t{1} << remaining) - 1));
-    filled_ = remaining;
-  }
+  out_->append(buf, static_cast<size_t>(bytes));
 }
 
 void BitWriter::Finish() {
   if (filled_ > 0) {
-    current_ = static_cast<uint8_t>(current_ << (8 - filled_));
-    out_->push_back(static_cast<char>(current_));
-    current_ = 0;
+    AppendBigEndian(word_ << (64 - filled_), (filled_ + 7) / 8);
+    word_ = 0;
     filled_ = 0;
   }
 }

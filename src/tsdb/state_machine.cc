@@ -5,7 +5,6 @@
 
 #include "common/hash.h"
 #include "common/varint.h"
-#include "tsdb/ingest_record.h"
 
 namespace nbraft::tsdb {
 
@@ -17,17 +16,17 @@ SimDuration TsdbStateMachine::ParseCost(size_t bytes) const {
 
 SimDuration TsdbStateMachine::Apply(const storage::LogEntry& entry) {
   ++applied_;
-  auto batch = ParseIngestBatch(entry.payload);
-  if (!batch.ok()) {
+  // A corrupt batch inserts nothing, even though parsed_ may hold a prefix.
+  if (!ParseIngestBatch(entry.payload, &parsed_).ok()) {
     ++corrupt_batches_;
     return ParseCost(entry.payload.size());
   }
   SimDuration cost =
-      options_.insert_cost_per_point * static_cast<SimDuration>(batch->size());
-  for (const Measurement& m : *batch) {
+      options_.insert_cost_per_point * static_cast<SimDuration>(parsed_.size());
+  for (const Measurement& m : parsed_) {
     memtable_.Insert(m.series_id, m.point);
   }
-  ingested_points_ += batch->size();
+  ingested_points_ += parsed_.size();
 
   if (memtable_.point_count() >= options_.flush_threshold_points) {
     const size_t bytes_before = memtable_.ApproximateBytes();

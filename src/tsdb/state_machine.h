@@ -9,6 +9,7 @@
 #include "common/sim_time.h"
 #include "storage/log_entry.h"
 #include "tsdb/encoding.h"
+#include "tsdb/ingest_record.h"
 #include "tsdb/memtable.h"
 
 namespace nbraft::tsdb {
@@ -107,6 +108,9 @@ class TsdbStateMachine : public StateMachine {
   Options options_;
   Memtable memtable_;
   std::vector<Chunk> chunks_;
+  /// Apply's parse target, reused so parsing an entry allocates nothing
+  /// once its capacity covers the largest batch seen.
+  std::vector<Measurement> parsed_;
   uint64_t applied_ = 0;
   uint64_t ingested_points_ = 0;
   uint64_t corrupt_batches_ = 0;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "common/random.h"
 
 namespace nbraft::sim {
 namespace {
@@ -243,6 +248,99 @@ TEST(SimulatorTest, ProcessedCountsFiredEventsOnly) {
   sim.Cancel(id);
   sim.Run();
   EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(SimulatorTest, CancelChurnKeepsHeapBounded) {
+  // The protocol's timer pattern: every request re-arms the election timer
+  // (500-1000 ms), arms an RPC timeout (400 ms) that the ack cancels, and
+  // arms a client timeout that the reply usually cancels. Cancelled
+  // deadlines lie far beyond the events that advance time, so an
+  // unbounded heap would hold ~3 dead records per request.
+  Simulator sim(7);
+  Rng rng(42);
+  using Key = std::pair<SimTime, uint64_t>;  // (when, insertion order).
+  std::multimap<Key, int> oracle;
+  std::map<int, std::pair<EventId, Key>> armed;  // Cancellable, by label.
+  std::vector<int> fired;
+  uint64_t inserted = 0;
+  int next_label = 0;
+
+  const auto check_bound = [&] {
+    ASSERT_LE(sim.heap_records(),
+              2 * sim.pending_events() + Simulator::kHeapSlack);
+  };
+  const auto schedule = [&](SimDuration delay, bool cancellable) {
+    const int label = next_label++;
+    const Key key{sim.Now() + delay, inserted++};
+    const EventId id = sim.After(delay, [&fired, label] {
+      fired.push_back(label);
+    });
+    oracle.emplace(key, label);
+    if (cancellable) armed.emplace(label, std::make_pair(id, key));
+    return label;
+  };
+  const auto cancel = [&](int label) {
+    const auto it = armed.find(label);
+    if (it == armed.end()) return;  // Already fired.
+    sim.Cancel(it->second.first);
+    const auto range = oracle.equal_range(it->second.second);
+    for (auto o = range.first; o != range.second; ++o) {
+      if (o->second == label) {
+        oracle.erase(o);
+        break;
+      }
+    }
+    armed.erase(it);
+  };
+  const auto step = [&] {
+    ASSERT_TRUE(sim.Step());
+    ASSERT_FALSE(oracle.empty());
+    ASSERT_EQ(fired.back(), oracle.begin()->second);
+    armed.erase(fired.back());
+    oracle.erase(oracle.begin());
+  };
+
+  int election = schedule(Millis(500), true);
+  std::deque<int> rpc_timeouts;
+  std::deque<int> client_timeouts;
+  size_t max_records = 0;
+  for (int i = 0; i < 20000; ++i) {
+    schedule(Micros(static_cast<int64_t>(rng.NextBounded(200))), false);
+    check_bound();
+    cancel(election);
+    check_bound();
+    election = schedule(Millis(rng.NextInRange(500, 1000)), true);
+    check_bound();
+    rpc_timeouts.push_back(schedule(Millis(400), true));
+    if (rpc_timeouts.size() > 4) {
+      cancel(rpc_timeouts.front());
+      rpc_timeouts.pop_front();
+      check_bound();
+    }
+    client_timeouts.push_back(
+        schedule(Millis(rng.NextInRange(1000, 2000)), true));
+    if (client_timeouts.size() > 8 && rng.NextBool(0.95)) {
+      const size_t victim = rng.NextBounded(client_timeouts.size());
+      cancel(client_timeouts[victim]);
+      client_timeouts.erase(client_timeouts.begin() +
+                            static_cast<std::ptrdiff_t>(victim));
+      check_bound();
+    }
+    step();
+    check_bound();
+    ASSERT_FALSE(HasFatalFailure()) << "iteration " << i;
+    if (max_records < sim.heap_records()) max_records = sim.heap_records();
+  }
+  while (!oracle.empty()) {
+    step();
+    check_bound();
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(fired.size(), sim.events_processed());
+  // ~60k timers were cancelled; the heap stayed near the live set.
+  EXPECT_LT(max_records, 4 * Simulator::kHeapSlack);
 }
 
 }  // namespace

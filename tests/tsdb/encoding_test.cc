@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "tsdb/bitstream.h"
 
@@ -57,6 +58,54 @@ TEST(BitstreamTest, ZeroBitsReadsNothing) {
   uint64_t v = 99;
   EXPECT_TRUE(r.Read(&v, 0));
   EXPECT_EQ(v, 0u);
+}
+
+TEST(BitstreamTest, MatchesBitAtATimeReference) {
+  // Reference: the simplest MSB-first writer, one bit per step.
+  struct Reference {
+    std::string out;
+    uint8_t current = 0;
+    int filled = 0;
+    size_t bits = 0;
+    void Put(bool bit) {
+      current = static_cast<uint8_t>((current << 1) | (bit ? 1 : 0));
+      ++bits;
+      if (++filled == 8) {
+        out.push_back(static_cast<char>(current));
+        current = 0;
+        filled = 0;
+      }
+    }
+    void Write(uint64_t value, int width) {
+      for (int i = width - 1; i >= 0; --i) Put(((value >> i) & 1) != 0);
+    }
+    void Finish() {
+      if (filled > 0) {
+        out.push_back(static_cast<char>(current << (8 - filled)));
+      }
+    }
+  };
+
+  Rng rng(11);
+  for (int round = 0; round < 200; ++round) {
+    std::string buf = "prefix";  // The writer appends after existing bytes.
+    BitWriter w(&buf);
+    Reference ref;
+    ref.out = buf;
+    const size_t writes = rng.NextBounded(100);
+    for (size_t i = 0; i < writes; ++i) {
+      const int width = static_cast<int>(rng.NextBounded(65));
+      // Bits above `width` must be ignored.
+      const uint64_t value = rng.Next();
+      w.Write(value, width);
+      ref.Write(value, width);
+      ASSERT_EQ(w.bit_count(), ref.bits);
+    }
+    w.Finish();
+    ref.Finish();
+    ASSERT_EQ(w.bit_count(), ref.bits);
+    ASSERT_EQ(buf, ref.out) << "round " << round;
+  }
 }
 
 // ---- Timestamp encoding ----
@@ -230,6 +279,38 @@ TEST(ChunkTest, CompressionBeatsRawForRegularData) {
   }
   Chunk chunk = BuildChunk(1, points);
   EXPECT_LT(chunk.EncodedBytes(), points.size() * sizeof(Point) / 10);
+}
+
+TEST(ChunkTest, EncodedBytesArePinned) {
+  // Chunk bytes size tsdb snapshots, and snapshot size sets the modelled
+  // InstallSnapshot wire time, so the encoders must stay byte-identical.
+  // The seeded series exercises every delta-of-delta width and both
+  // Gorilla window cases; the sizes and hashes were taken from the
+  // byte-at-a-time BitWriter that the word-at-a-time one replaced.
+  Rng rng(2023);
+  std::vector<Point> points;
+  int64_t t = 1'600'000'000'000;
+  double v = 20.0;
+  for (int i = 0; i < 2000; ++i) {
+    switch (rng.NextBounded(5)) {
+      case 0: t += 1000; break;
+      case 1: t += 1000 + rng.NextInRange(-60, 60); break;
+      case 2: t += 1000 + rng.NextInRange(-250, 250); break;
+      case 3: t += 1000 + rng.NextInRange(-2000, 2000); break;
+      default: t += rng.NextInRange(0, 10'000'000); break;
+    }
+    if (rng.NextBool(0.3)) v += rng.NextGaussian(0.0, 0.25);
+    if (rng.NextBool(0.05)) v = rng.NextGaussian(0.0, 1e6);
+    points.push_back(Point{t, v});
+  }
+  const Chunk chunk = BuildChunk(5, points);
+  EXPECT_EQ(chunk.encoded_timestamps.size(), 8258u);
+  EXPECT_EQ(chunk.encoded_values.size(), 5442u);
+  EXPECT_EQ(Fnv1a64(chunk.encoded_timestamps), 0x34ec7d35a5e32d98u);
+  EXPECT_EQ(Fnv1a64(chunk.encoded_values), 0xd5de52308ca71594u);
+  auto decoded = chunk.Decode();
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value(), points);
 }
 
 }  // namespace

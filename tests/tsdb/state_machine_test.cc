@@ -88,6 +88,30 @@ TEST(TsdbStateMachineTest, CorruptPayloadCountedNotFatal) {
   EXPECT_EQ(sm.applied_entries(), 1u);
 }
 
+TEST(TsdbStateMachineTest, CorruptBatchAfterGoodBatchInsertsNothing) {
+  TsdbStateMachine sm;
+  sm.Apply(IngestEntry(1, {{7, {100, 1.5}}, {8, {100, 2.5}}}));
+  // Three well-formed measurements, then the record is cut inside the
+  // fourth: the parse fails after filling the reused buffer partway.
+  const std::vector<Measurement> batch = {
+      {7, {200, 3.5}}, {8, {200, 4.5}}, {9, {200, 5.5}}, {9, {300, 6.5}}};
+  storage::LogEntry bad = IngestEntry(2, batch);
+  bad.payload = std::string(bad.payload.view().substr(
+      0, bad.payload.size() - 3));
+  sm.Apply(bad);
+  EXPECT_EQ(sm.corrupt_batches(), 1u);
+  EXPECT_EQ(sm.applied_entries(), 2u);
+  EXPECT_EQ(sm.ingested_points(), 2u);
+  EXPECT_EQ(sm.memtable().point_count(), 2u);
+  EXPECT_EQ(sm.PointCount(7), 1u);
+  EXPECT_EQ(sm.PointCount(9), 0u);
+
+  // The next good batch inserts exactly its own points.
+  sm.Apply(IngestEntry(3, {{9, {400, 7.5}}}));
+  EXPECT_EQ(sm.ingested_points(), 3u);
+  EXPECT_EQ(sm.PointCount(9), 1u);
+}
+
 TEST(TsdbStateMachineTest, ParseCostScalesWithBytes) {
   TsdbStateMachine sm;
   EXPECT_GT(sm.ParseCost(64 * 1024), sm.ParseCost(1024));
