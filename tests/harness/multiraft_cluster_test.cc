@@ -106,12 +106,13 @@ TEST(MultiRaftClusterTest, GroupsIngestDisjointSeriesSlices) {
     ASSERT_NE(leader, nullptr);
     const auto& log = leader->log();
     int checked = 0;
+    std::vector<tsdb::Measurement> batch;
     for (storage::LogIndex i = log.FirstIndex(); i <= log.LastIndex(); ++i) {
       const auto& e = log.AtUnchecked(i);
       if (e.client_id == net::kInvalidNode || e.payload.size() == 0) continue;
-      const auto batch = tsdb::ParseIngestBatch(e.payload.view());
-      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-      for (const tsdb::Measurement& m : *batch) {
+      const Status status = tsdb::ParseIngestBatch(e.payload.view(), &batch);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      for (const tsdb::Measurement& m : batch) {
         EXPECT_EQ(map.GroupForSeries(m.series_id), g)
             << "series " << m.series_id << " replicated through group " << g;
         ++checked;

@@ -22,9 +22,9 @@ TEST(WorkloadTest, PayloadParsesAsIngestBatch) {
   options.measurements_per_request = 8;
   IngestWorkload workload(options, 2);
   const std::string payload = workload.MakePayload(1024);
-  auto batch = tsdb::ParseIngestBatch(payload);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->size(), 8u);
+  std::vector<tsdb::Measurement> batch;
+  ASSERT_TRUE(tsdb::ParseIngestBatch(payload, &batch).ok());
+  EXPECT_EQ(batch.size(), 8u);
 }
 
 TEST(WorkloadTest, SeriesIdsWithinFleet) {
@@ -32,21 +32,22 @@ TEST(WorkloadTest, SeriesIdsWithinFleet) {
   options.series_count = 10;
   options.measurements_per_request = 32;
   IngestWorkload workload(options, 3);
+  std::vector<tsdb::Measurement> batch;
   for (int i = 0; i < 20; ++i) {
-    auto batch = tsdb::ParseIngestBatch(workload.MakePayload(2048));
-    ASSERT_TRUE(batch.ok());
-    for (const auto& m : *batch) EXPECT_LT(m.series_id, 10u);
+    ASSERT_TRUE(
+        tsdb::ParseIngestBatch(workload.MakePayload(2048), &batch).ok());
+    for (const auto& m : batch) EXPECT_LT(m.series_id, 10u);
   }
 }
 
 TEST(WorkloadTest, TimestampsAdvance) {
   IngestWorkload workload({}, 4);
-  auto first = tsdb::ParseIngestBatch(workload.MakePayload(512));
+  std::vector<tsdb::Measurement> first;
+  std::vector<tsdb::Measurement> later;
+  ASSERT_TRUE(tsdb::ParseIngestBatch(workload.MakePayload(512), &first).ok());
   for (int i = 0; i < 50; ++i) workload.MakePayload(512);
-  auto later = tsdb::ParseIngestBatch(workload.MakePayload(512));
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(later.ok());
-  EXPECT_GT((*later)[0].point.timestamp, (*first)[0].point.timestamp);
+  ASSERT_TRUE(tsdb::ParseIngestBatch(workload.MakePayload(512), &later).ok());
+  EXPECT_GT(later[0].point.timestamp, first[0].point.timestamp);
 }
 
 TEST(WorkloadTest, DeterministicPerSeed) {
@@ -66,10 +67,11 @@ TEST(WorkloadTest, ZipfSkewConcentratesSeries) {
   options.measurements_per_request = 64;
   IngestWorkload workload(options, 9);
   std::map<uint64_t, int> counts;
+  std::vector<tsdb::Measurement> batch;
   for (int i = 0; i < 50; ++i) {
-    auto batch = tsdb::ParseIngestBatch(workload.MakePayload(4096));
-    ASSERT_TRUE(batch.ok());
-    for (const auto& m : *batch) ++counts[m.series_id];
+    ASSERT_TRUE(
+        tsdb::ParseIngestBatch(workload.MakePayload(4096), &batch).ok());
+    for (const auto& m : batch) ++counts[m.series_id];
   }
   // The most popular series dominates under skew.
   int max_count = 0;

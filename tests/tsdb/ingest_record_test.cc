@@ -18,52 +18,55 @@ std::vector<Measurement> SampleBatch() {
 TEST(IngestRecordTest, RoundTrip) {
   std::string buf;
   EncodeIngestBatch(SampleBatch(), 0, &buf);
-  auto parsed = ParseIngestBatch(buf);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value(), SampleBatch());
+  std::vector<Measurement> parsed;
+  const Status status = ParseIngestBatch(buf, &parsed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(parsed, SampleBatch());
 }
 
 TEST(IngestRecordTest, PaddingToTargetSize) {
   std::string buf;
   EncodeIngestBatch(SampleBatch(), 4096, &buf);
   EXPECT_EQ(buf.size(), 4096u);
-  auto parsed = ParseIngestBatch(buf);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value(), SampleBatch());
+  std::vector<Measurement> parsed;
+  ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+  EXPECT_EQ(parsed, SampleBatch());
 }
 
 TEST(IngestRecordTest, TargetSmallerThanNaturalKeepsNatural) {
   std::string buf;
   EncodeIngestBatch(SampleBatch(), 1, &buf);
-  auto parsed = ParseIngestBatch(buf);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->size(), 3u);
+  std::vector<Measurement> parsed;
+  ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+  EXPECT_EQ(parsed.size(), 3u);
 }
 
 TEST(IngestRecordTest, EmptyBatch) {
   std::string buf;
   EncodeIngestBatch({}, 64, &buf);
   EXPECT_EQ(buf.size(), 64u);
-  auto parsed = ParseIngestBatch(buf);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->empty());
+  std::vector<Measurement> parsed;
+  ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+  EXPECT_TRUE(parsed.empty());
 }
 
 TEST(IngestRecordTest, AppendsToExistingBuffer) {
   std::string buf = "prefix";
   EncodeIngestBatch(SampleBatch(), 0, &buf);
   EXPECT_EQ(buf.substr(0, 6), "prefix");
-  auto parsed = ParseIngestBatch(std::string_view(buf).substr(6));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->size(), 3u);
+  std::vector<Measurement> parsed;
+  ASSERT_TRUE(ParseIngestBatch(std::string_view(buf).substr(6), &parsed).ok());
+  EXPECT_EQ(parsed.size(), 3u);
 }
 
 TEST(IngestRecordTest, TruncatedFails) {
   std::string buf;
   EncodeIngestBatch(SampleBatch(), 0, &buf);
+  std::vector<Measurement> parsed;
   for (size_t keep = 0; keep + 10 < buf.size(); keep += 7) {
-    auto parsed = ParseIngestBatch(std::string_view(buf).substr(0, keep));
-    EXPECT_FALSE(parsed.ok()) << "kept " << keep;
+    EXPECT_FALSE(
+        ParseIngestBatch(std::string_view(buf).substr(0, keep), &parsed).ok())
+        << "kept " << keep;
   }
 }
 
@@ -71,13 +74,13 @@ TEST(IngestRecordTest, ImplausibleCountRejected) {
   // A count claiming more measurements than bytes available.
   std::string buf;
   buf.push_back('\x7f');  // count = 127, no data.
-  auto parsed = ParseIngestBatch(buf);
-  EXPECT_FALSE(parsed.ok());
+  std::vector<Measurement> parsed;
+  EXPECT_FALSE(ParseIngestBatch(buf, &parsed).ok());
 }
 
 TEST(IngestRecordTest, GarbageRejectedOrEmpty) {
-  auto parsed = ParseIngestBatch("");
-  EXPECT_FALSE(parsed.ok());
+  std::vector<Measurement> parsed;
+  EXPECT_FALSE(ParseIngestBatch("", &parsed).ok());
 }
 
 TEST(IngestRecordTest, RandomizedRoundTrip) {
@@ -95,9 +98,9 @@ TEST(IngestRecordTest, RandomizedRoundTrip) {
     std::string buf;
     const size_t target = rng.NextBounded(2048);
     EncodeIngestBatch(batch, target, &buf);
-    auto parsed = ParseIngestBatch(buf);
-    ASSERT_TRUE(parsed.ok());
-    ASSERT_EQ(parsed.value(), batch);
+    std::vector<Measurement> parsed;
+    ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+    ASSERT_EQ(parsed, batch);
   }
 }
 
