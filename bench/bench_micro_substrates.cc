@@ -1,13 +1,12 @@
 // Microbenchmarks (google-benchmark) of the substrates every experiment
-// rests on: hashing, CRC, erasure coding, time-series encoders, the
-// sliding window, the histogram, the event queue and the Petri engine.
+// rests on: CRC, varints, time-series encoders, the sliding window, the
+// histogram, the event queue and the Petri engine.
 
 #include <benchmark/benchmark.h>
 
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/varint.h"
-#include "craft/reed_solomon.h"
 #include "metrics/histogram.h"
 #include "nbraft/sliding_window.h"
 #include "petri/petri_net.h"
@@ -25,17 +24,6 @@ std::string RandomPayload(size_t len, uint64_t seed) {
   return out;
 }
 
-void BM_Sha256(benchmark::State& state) {
-  const std::string data =
-      RandomPayload(static_cast<size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::Hash(data));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(1024)->Arg(4096)->Arg(65536);
-
 void BM_Crc32c(benchmark::State& state) {
   const std::string data =
       RandomPayload(static_cast<size_t>(state.range(0)), 2);
@@ -46,32 +34,6 @@ void BM_Crc32c(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(65536);
-
-void BM_ReedSolomonEncode(benchmark::State& state) {
-  craft::ReedSolomon rs(static_cast<int>(state.range(0)),
-                        static_cast<int>(state.range(1)));
-  const std::string data = RandomPayload(4096, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rs.Encode(data));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_ReedSolomonEncode)->Args({2, 1})->Args({3, 2})->Args({5, 4});
-
-void BM_ReedSolomonDecode(benchmark::State& state) {
-  craft::ReedSolomon rs(3, 2);
-  const std::string data = RandomPayload(4096, 4);
-  auto shards = rs.Encode(data);
-  std::vector<std::optional<std::string>> subset(shards.begin(),
-                                                 shards.end());
-  subset[0].reset();
-  subset[3].reset();  // Force real decoding.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rs.Decode(subset, data.size()));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_ReedSolomonDecode);
 
 void BM_GorillaEncodeValues(benchmark::State& state) {
   Rng rng(5);

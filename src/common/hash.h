@@ -1,48 +1,11 @@
 #ifndef NBRAFT_COMMON_HASH_H_
 #define NBRAFT_COMMON_HASH_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace nbraft {
-
-/// SHA-256 message digest (FIPS 180-4). Used by the VGRaft baseline for
-/// entry verification, and by tests as a content checksum. The computation
-/// is real — its CPU cost is part of what the VGRaft experiments measure.
-class Sha256 {
- public:
-  using Digest = std::array<uint8_t, 32>;
-
-  Sha256();
-
-  /// Absorbs `len` bytes.
-  void Update(const void* data, size_t len);
-  void Update(std::string_view s) { Update(s.data(), s.size()); }
-
-  /// Finalizes and returns the digest. The object must not be reused
-  /// afterwards without calling Reset().
-  Digest Finish();
-
-  /// Resets to the initial state.
-  void Reset();
-
-  /// One-shot convenience.
-  static Digest Hash(std::string_view data);
-
-  /// Lowercase hex rendering of a digest.
-  static std::string ToHex(const Digest& digest);
-
- private:
-  void ProcessBlock(const uint8_t* block);
-
-  uint32_t state_[8];
-  uint64_t total_len_ = 0;
-  uint8_t buffer_[64];
-  size_t buffer_len_ = 0;
-};
 
 /// CRC32C (Castagnoli) over `data`, software table implementation. Used as
 /// the log-entry checksum.

@@ -66,7 +66,6 @@ Cluster::Cluster(ClusterConfig config)
   if (config_.recovery_batch >= 0) {
     options.membership.recovery_max_entries_per_round = config_.recovery_batch;
   }
-  options.backend_factory = config_.backend_factory;
   if (config_.profile == SystemProfile::kRatis) {
     // Ratis holds a heavier lock during indexing (paper Sec. II-F), moving
     // queue time into t_idx.

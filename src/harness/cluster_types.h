@@ -1,8 +1,6 @@
 #ifndef NBRAFT_HARNESS_CLUSTER_TYPES_H_
 #define NBRAFT_HARNESS_CLUSTER_TYPES_H_
 
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "harness/workload.h"
@@ -88,11 +86,6 @@ struct ClusterConfig {
   /// See raft::DiskOptions.
   raft::DiskOptions disk;
 
-  /// Test hook forwarded to every node: builds the durable-log backend
-  /// when `disk` is off (e.g. an injected failing backend for
-  /// storage-error-path tests).
-  std::function<std::unique_ptr<storage::LogBackend>(int64_t node_id)>
-      backend_factory;
   SimDuration election_timeout = Millis(500);
   SimDuration client_think = Micros(5);
 

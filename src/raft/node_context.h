@@ -152,10 +152,10 @@ class NodeContext {
   virtual void ParkUntilDurable(std::function<void()> fn) = 0;
   /// Whether a crash can tear records this node already appended off its
   /// log: a simulated disk drops un-fsynced appends and repairs corrupt
-  /// tails away. Instant storage syncs inline and modelled durability
-  /// never forgets, so there a log end never regresses. A policy input,
-  /// not an ack gate: the leader sizes a stagnant follower's forced resync
-  /// by it (every replica of a cluster runs the same storage model).
+  /// tails away. Modelled durability never forgets, so there a log end
+  /// never regresses. A policy input, not an ack gate: the leader sizes a
+  /// stagnant follower's forced resync by it (every replica of a cluster
+  /// runs the same storage model).
   virtual bool CrashCanTearAppends() const { return false; }
   /// Highest entry index covered by a completed fsync (the whole log
   /// without a simulated disk).

@@ -103,7 +103,7 @@ void RaftNode::Crash() {
   if (core_.crashed) return;
   if (journal_ != nullptr) {
     journal_->Record(obs::JournalEventKind::kCrash, id_, -1, 0,
-                     durable_ != nullptr ? 1 : 0);
+                     disk_ != nullptr ? 1 : 0);
   }
   core_.crashed = true;
   network_->SetNodeUp(id_, false);
@@ -117,9 +117,9 @@ void RaftNode::Crash() {
   recovery_->StopAll();
   core_.role = Role::kFollower;
   core_.leader = net::kInvalidNode;
-  if (durable_ != nullptr) {
+  if (disk_ != nullptr) {
     // Real durability: everything in memory dies with the process; only
-    // the durable image survives.
+    // the disk image survives.
     durability_->Detach();
     durable_.reset();
     log_ = storage::RaftLog();
@@ -138,7 +138,7 @@ void RaftNode::Crash() {
     state_machine_->Reset();
     membership_->Reset();
     // Power loss on the simulated disk: un-fsynced records tear off.
-    if (disk_ != nullptr) disk_->Crash();
+    disk_->Crash();
   }
 }
 
@@ -282,11 +282,8 @@ void RaftNode::OpenDurableLog() {
   if (disk_ != nullptr) {
     durable_ = std::make_unique<storage::DurableLog>();
     durable_->OpenWith(std::make_unique<storage::SimDiskBackend>(disk_.get()));
-  } else if (options_.backend_factory) {
-    durable_ = std::make_unique<storage::DurableLog>();
-    durable_->OpenWith(options_.backend_factory(id_));
   }
-  // durable_ may be null: modelled durability, nothing to coordinate.
+  // No disk, no durable log: modelled durability, nothing to coordinate.
   durability_->Attach(durable_.get(), log_.LastIndex());
 }
 

@@ -211,7 +211,7 @@ class RaftNode : public NodeContext {
   // ---- Reads ----
   void HandleReadRequest(ReadRequest req);
 
-  // ---- Durability (simulated disk or injected backend) ----
+  // ---- Durability (simulated disk) ----
   /// Folds the simulated disk's durable record stream back into memory and
   /// repairs (quarantining) a corruption-cut stream.
   void RecoverFromDisk();

@@ -2,16 +2,10 @@
 #define NBRAFT_RAFT_TYPES_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "common/sim_time.h"
-
-namespace nbraft::storage {
-class LogBackend;
-}  // namespace nbraft::storage
 
 namespace nbraft::sim {
 class CpuExecutor;
@@ -223,9 +217,9 @@ struct RaftOptions {
   bool leader_lease = false;
 
   // ---- Variant flags ----
-  /// CRaft: replicate RS fragments. Fragment sizes and coding CPU cost are
-  /// modelled; the coder in src/craft is exercised by its own unit tests
-  /// and microbench.
+  /// CRaft: replicate Reed-Solomon fragments. Fragments are modelled, not
+  /// computed: their sizes and the coding CPU cost (CostModel) are charged,
+  /// and their bytes are filler.
   bool erasure = false;
   bool ecraft = false;       ///< ECRaft: erasure-coded degraded mode too.
   int kbucket_size = 0;      ///< KRaft: relay bucket size; 0 = off.
@@ -246,12 +240,6 @@ struct RaftOptions {
   /// Dynamic membership (joint consensus + learner recovery). Dormant by
   /// default.
   MembershipOptions membership;
-
-  /// Test hook: builds the node's durable-log backend when `disk` is off
-  /// (e.g. an injected failing backend for storage-error-path tests).
-  /// Implies durable semantics: a crash wipes memory.
-  std::function<std::unique_ptr<storage::LogBackend>(int64_t node_id)>
-      backend_factory;
 
   CostModel costs;
 };

@@ -26,8 +26,8 @@ class SimDisk;
 /// state + snapshot.
 ///
 /// Record stream format (each record is one LogEntry, sized by its codec's
-/// EncodedSize; the store behind it is a pluggable LogBackend — the
-/// simulated disk, or a test double):
+/// EncodedSize; the store behind it is a LogBackend — the simulated
+/// disk):
 ///   * append:     the LogEntry itself;
 ///   * truncate:   a marker entry (sentinel index scheme) naming the first
 ///     removed index;
@@ -81,8 +81,7 @@ class DurableLog {
 
   DurableLog() = default;
 
-  /// Adopts the backend that stores the records (simulated disk, test
-  /// double).
+  /// Adopts the backend that stores the records.
   void OpenWith(std::unique_ptr<LogBackend> backend) {
     backend_ = std::move(backend);
   }

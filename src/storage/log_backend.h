@@ -8,9 +8,8 @@
 
 namespace nbraft::storage {
 
-/// The seam between DurableLog's typed record stream and whatever actually
-/// stores the records: the simulated disk (SimDiskBackend), or a test
-/// double injected through RaftOptions::backend_factory. Records staged
+/// The seam between DurableLog's typed record stream and the store that
+/// holds the records: the simulated disk (SimDiskBackend). Records staged
 /// with Append become durable only once a covering Sync completes; what
 /// "durable" means (a virtual-time latency charge, an injected failure) is
 /// the backend's business.

@@ -61,6 +61,11 @@ void SimDisk::Sync(std::function<void(Status)> done) {
   pending_write_cost_ = 0;
   io_lane_->Submit(cost, [this, cover, gen, done = std::move(done)]() mutable {
     if (gen != generation_) return;  // Crashed while the sync was in flight.
+    if (sync_errors_armed_ > 0) {
+      --sync_errors_armed_;
+      done(Status::IoError("sim disk: fsync failed"));
+      return;
+    }
     if (cover > durable_records_) {
       ReleaseCompactedPayloads(durable_records_, cover);
       durable_records_ = cover;

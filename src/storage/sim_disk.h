@@ -68,7 +68,8 @@ class SimDisk {
 
   /// Schedules an fsync barrier covering everything staged so far; `done`
   /// fires after the modeled latency (fsync + stall + buffered writes).
-  /// Never fires for syncs in flight at a crash.
+  /// Fails with IoError while sync errors are armed. Never fires for syncs
+  /// in flight at a crash.
   void Sync(std::function<void(Status)> done);
 
   // ---- Crash surface ----
@@ -91,6 +92,11 @@ class SimDisk {
 
   /// The next `count` Appends fail with IoError (transient write errors).
   void ArmWriteErrors(int count) { write_errors_armed_ = count; }
+
+  /// The next `count` syncs to complete fail: each still pays its latency,
+  /// then completes with IoError and leaves the records it covered
+  /// volatile, so a crash still tears them off.
+  void ArmSyncErrors(int count) { sync_errors_armed_ = count; }
 
   /// Bit rot: flips the corrupt flag on one durable entry record chosen
   /// from the stream tail — past the last durable hard-state record, where
@@ -144,6 +150,7 @@ class SimDisk {
 
   SimDuration fsync_stall_ = 0;
   int write_errors_armed_ = 0;
+  int sync_errors_armed_ = 0;
   bool heal_scar_ = false;
   LogIndex scar_frontier_ = 0;
 

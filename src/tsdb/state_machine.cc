@@ -55,38 +55,6 @@ Result<std::vector<Point>> TsdbStateMachine::Query(uint64_t series_id) const {
   return out;
 }
 
-Result<TsdbStateMachine::Aggregate> TsdbStateMachine::AggregateRange(
-    uint64_t series_id, int64_t start_ts, int64_t end_ts) const {
-  Aggregate agg;
-  const auto fold = [&agg](const Point& p) {
-    if (agg.count == 0) {
-      agg.min = p.value;
-      agg.max = p.value;
-    } else {
-      agg.min = std::min(agg.min, p.value);
-      agg.max = std::max(agg.max, p.value);
-    }
-    agg.sum += p.value;
-    ++agg.count;
-  };
-  for (const Chunk& chunk : chunks_) {
-    if (chunk.series_id != series_id) continue;
-    // Metadata pruning: skip chunks entirely outside the range.
-    if (chunk.max_timestamp < start_ts || chunk.min_timestamp > end_ts) {
-      continue;
-    }
-    auto points = chunk.Decode();
-    if (!points.ok()) return points.status();
-    for (const Point& p : *points) {
-      if (p.timestamp >= start_ts && p.timestamp <= end_ts) fold(p);
-    }
-  }
-  for (const Point& p : memtable_.Scan(series_id)) {
-    if (p.timestamp >= start_ts && p.timestamp <= end_ts) fold(p);
-  }
-  return agg;
-}
-
 uint64_t TsdbStateMachine::PointCount(uint64_t series_id) const {
   uint64_t count = 0;
   for (const Chunk& chunk : chunks_) {

@@ -78,19 +78,6 @@ class TsdbStateMachine : public StateMachine {
   /// Fails only if a flushed chunk is corrupt.
   Result<std::vector<Point>> Query(uint64_t series_id) const;
 
-  /// Aggregate over a series' points within [start_ts, end_ts] (IoT
-  /// dashboard-style range queries). Chunk min/max metadata prunes
-  /// non-overlapping chunks without decoding them.
-  struct Aggregate {
-    uint64_t count = 0;
-    double min = 0;
-    double max = 0;
-    double sum = 0;
-    double Mean() const { return count == 0 ? 0.0 : sum / count; }
-  };
-  Result<Aggregate> AggregateRange(uint64_t series_id, int64_t start_ts,
-                                   int64_t end_ts) const;
-
   uint64_t PointCount(uint64_t series_id) const override;
 
   /// Serializes chunks + buffered points + counters into a self-described

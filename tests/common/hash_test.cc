@@ -7,66 +7,6 @@
 namespace nbraft {
 namespace {
 
-// FIPS 180-4 / NIST test vectors.
-TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(Sha256::ToHex(Sha256::Hash("")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256Test, Abc) {
-  EXPECT_EQ(Sha256::ToHex(Sha256::Hash("abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256Test, TwoBlockMessage) {
-  EXPECT_EQ(Sha256::ToHex(Sha256::Hash(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256Test, MillionAs) {
-  std::string input(1000000, 'a');
-  EXPECT_EQ(Sha256::ToHex(Sha256::Hash(input)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha256Test, IncrementalEqualsOneShot) {
-  const std::string data =
-      "The quick brown fox jumps over the lazy dog, repeatedly and at odd "
-      "block boundaries to stress the buffering logic.";
-  for (size_t chunk = 1; chunk <= 70; chunk += 7) {
-    Sha256 h;
-    for (size_t off = 0; off < data.size(); off += chunk) {
-      h.Update(data.substr(off, chunk));
-    }
-    EXPECT_EQ(Sha256::ToHex(h.Finish()),
-              Sha256::ToHex(Sha256::Hash(data)))
-        << "chunk size " << chunk;
-  }
-}
-
-TEST(Sha256Test, ResetAllowsReuse) {
-  Sha256 h;
-  h.Update("garbage");
-  h.Reset();
-  h.Update("abc");
-  EXPECT_EQ(Sha256::ToHex(h.Finish()),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256Test, ExactBlockBoundaries) {
-  // 55, 56, 63, 64, 65 bytes straddle the padding edge cases.
-  for (size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    std::string input(len, 'x');
-    Sha256 incremental;
-    incremental.Update(input.substr(0, len / 2));
-    incremental.Update(input.substr(len / 2));
-    EXPECT_EQ(Sha256::ToHex(incremental.Finish()),
-              Sha256::ToHex(Sha256::Hash(input)))
-        << "length " << len;
-  }
-}
-
 TEST(Crc32cTest, KnownVectors) {
   // RFC 3720 test vectors.
   EXPECT_EQ(Crc32c(std::string(32, '\0')), 0x8a9136aau);

@@ -1,17 +1,14 @@
-// Storage-error paths: a failing LogBackend::Sync must surface as a leader
-// step-down or a follower halt — never as a process abort. Uses the
-// backend_factory hook to inject a backend whose fsyncs can be armed to
-// fail per node.
+// Storage-error paths: a failed fsync must surface as a leader step-down or
+// a follower halt — never as a process abort. Runs on simulated disks whose
+// syncs are armed to fail per node (SimDisk::ArmSyncErrors).
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
-#include <utility>
 
 #include "harness/cluster.h"
 #include "raft/raft_node.h"
-#include "storage/log_backend.h"
+#include "storage/sim_disk.h"
 #include "tests/raft/test_cluster.h"
 
 namespace nbraft::raft {
@@ -19,48 +16,15 @@ namespace {
 
 using raft_test::SmallConfig;
 
-/// Test switchboard shared by every injected backend: `sim` is filled in
-/// after the Cluster exists (the factory only runs at node Start), and
-/// `fail_budget` arms per-node fsync failures mid-run (-1 = every sync
-/// fails, n > 0 = the next n syncs fail then the disk heals).
-struct FailSwitch {
-  sim::Simulator* sim = nullptr;
-  std::map<int64_t, int> fail_budget;
-};
-
-class FlakySyncBackend : public storage::LogBackend {
- public:
-  FlakySyncBackend(FailSwitch* sw, int64_t id) : switch_(sw), id_(id) {}
-
-  Status Append(const storage::LogEntry&) override { return Status::Ok(); }
-  void Sync(std::function<void(Status)> done) override {
-    int& budget = switch_->fail_budget[id_];
-    const bool fail = budget != 0;
-    if (budget > 0) --budget;
-    switch_->sim->After(Micros(20), [fail, done = std::move(done)]() {
-      done(fail ? Status::IoError("injected fsync failure") : Status::Ok());
-    });
-  }
-
- private:
-  FailSwitch* switch_;
-  int64_t id_;
-};
-
-std::unique_ptr<harness::Cluster> MakeCluster(FailSwitch* sw, uint64_t seed) {
+std::unique_ptr<harness::Cluster> MakeCluster(uint64_t seed) {
   harness::ClusterConfig config = SmallConfig(Protocol::kNbRaft, 3, 4, seed);
-  config.backend_factory =
-      [sw](int64_t id) -> std::unique_ptr<storage::LogBackend> {
-    return std::make_unique<FlakySyncBackend>(sw, id);
-  };
-  auto cluster = std::make_unique<harness::Cluster>(config);
-  sw->sim = cluster->sim();
-  return cluster;
+  config.disk.enabled = true;
+  config.disk.fsync_latency = Micros(20);
+  return std::make_unique<harness::Cluster>(config);
 }
 
 TEST(DurabilityFailureTest, LeaderStepsDownOnFsyncFailure) {
-  FailSwitch sw;
-  auto cluster = MakeCluster(&sw, 91);
+  auto cluster = MakeCluster(91);
   cluster->Start();
   ASSERT_TRUE(cluster->AwaitLeader());
   cluster->StartClients();
@@ -73,7 +37,7 @@ TEST(DurabilityFailureTest, LeaderStepsDownOnFsyncFailure) {
 
   // Arm: the leader's next fsync fails (the disk then heals, keeping the
   // step-down observable before any follow-on failure could crash it).
-  sw.fail_budget[leader_id] = 1;
+  cluster->node(leader_id)->disk()->ArmSyncErrors(1);
   for (int i = 0;
        i < 200 && cluster->node(leader_id)->stats().storage_failures == 0;
        ++i) {
@@ -91,8 +55,7 @@ TEST(DurabilityFailureTest, LeaderStepsDownOnFsyncFailure) {
 }
 
 TEST(DurabilityFailureTest, FollowerHaltsOnFsyncFailure) {
-  FailSwitch sw;
-  auto cluster = MakeCluster(&sw, 92);
+  auto cluster = MakeCluster(92);
   cluster->Start();
   ASSERT_TRUE(cluster->AwaitLeader());
   cluster->StartClients();
@@ -111,7 +74,7 @@ TEST(DurabilityFailureTest, FollowerHaltsOnFsyncFailure) {
 
   // Arm: the follower's disk goes bad for good. It must halt (crash)
   // rather than keep acknowledging entries it cannot make durable.
-  sw.fail_budget[follower] = -1;
+  cluster->node(follower)->disk()->ArmSyncErrors(1 << 30);
   cluster->RunFor(Millis(500));
   EXPECT_GT(cluster->node(follower)->stats().storage_failures, 0u);
   EXPECT_TRUE(cluster->node(follower)->crashed());

@@ -1,7 +1,7 @@
 // SimDisk unit surface: the durable/volatile frontier, crash torn tails,
 // virtual-time latency modeling on the I/O lane, and the seeded fault
-// injector (transient write errors, fsync stalls, tail corruption and the
-// repair scar).
+// injector (transient write and fsync errors, fsync stalls, tail corruption
+// and the repair scar).
 
 #include "storage/sim_disk.h"
 
@@ -102,6 +102,26 @@ TEST_F(SimDiskTest, ArmedWriteErrorsAreTransient) {
   EXPECT_FALSE(disk.Append(MakeEntry(1, 1, 0)).ok());
   EXPECT_TRUE(disk.Append(MakeEntry(1, 1, 0)).ok());
   EXPECT_EQ(disk.write_errors_injected(), 2u);
+}
+
+TEST_F(SimDiskTest, ArmedSyncErrorsLeaveRecordsVolatile) {
+  SimDisk disk(&sim_, Opts(), 0);
+  ASSERT_TRUE(disk.Append(MakeEntry(1, 1, 0, "a")).ok());
+  ASSERT_TRUE(SyncNow(&disk).ok());
+  disk.ArmSyncErrors(1);
+  ASSERT_TRUE(disk.Append(MakeEntry(2, 1, 1, "b")).ok());
+  const uint64_t fsyncs_before = disk.fsyncs_completed();
+  EXPECT_FALSE(SyncNow(&disk).ok());
+  EXPECT_EQ(disk.durable_records(), 1u);
+  EXPECT_EQ(disk.fsyncs_completed(), fsyncs_before);
+  // The failed barrier made nothing durable: a crash tears the record off.
+  disk.Crash();
+  ASSERT_EQ(disk.records().size(), 1u);
+  EXPECT_EQ(disk.records()[0].entry.index, 1);
+  // The error was transient: the next barrier succeeds.
+  ASSERT_TRUE(disk.Append(MakeEntry(2, 1, 1, "c")).ok());
+  EXPECT_TRUE(SyncNow(&disk).ok());
+  EXPECT_EQ(disk.durable_records(), 2u);
 }
 
 TEST_F(SimDiskTest, InFlightSyncNeverFiresAfterCrash) {
