@@ -19,7 +19,9 @@ using raft_test::SmallConfig;
 class LeaderLifetimeTest : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(LeaderLifetimeTest, StepDownDropsAllLeaderVolatileState) {
-  Cluster cluster(SmallConfig(GetParam(), 3, 4));
+  // Sixteen clients keep the leader's pipeline busy at every instant; with
+  // four, a CRaft leader can sit momentarily idle with nothing in flight.
+  Cluster cluster(SmallConfig(GetParam(), 3, 16));
   cluster.Start();
   ASSERT_TRUE(cluster.AwaitLeader());
   cluster.StartClients();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "net/network.h"
 #include "sim/simulator.h"
 #include "tests/raft/mock_node_context.h"
 
@@ -7,6 +8,31 @@ namespace nbraft::raft {
 namespace {
 
 using raft_test::MockNodeContext;
+
+/// A MockNodeContext whose sends go through a real SimNetwork, so a test
+/// can compare the bytes the network billed with the delivered messages.
+class NetworkedContext : public MockNodeContext {
+ public:
+  NetworkedContext(sim::Simulator* sim, net::SimNetwork* network,
+                   net::NodeId id, std::vector<net::NodeId> peers,
+                   RaftOptions options)
+      : MockNodeContext(sim, id, peers, options), network_(network) {
+    for (const net::NodeId peer : peers) {
+      network_->RegisterEndpoint(peer, [this](net::Message&& m) {
+        delivered.push_back(std::move(m));
+      });
+    }
+  }
+
+  void SendTo(net::NodeId to, size_t bytes, net::PayloadRef payload) override {
+    network_->Send(id(), to, bytes, std::move(payload));
+  }
+
+  std::vector<net::Message> delivered;
+
+ private:
+  net::SimNetwork* network_;
+};
 
 RaftOptions PipelineOptions(int dispatchers, int max_batch, int window) {
   RaftOptions options;
@@ -234,6 +260,56 @@ TEST(ReplicationPipelineTest, ResetLeaderStateDropsEverything) {
   const uint64_t timeouts_before = ctx.stats().rpc_timeouts;
   sim.RunUntil(Seconds(1));
   EXPECT_EQ(ctx.stats().rpc_timeouts, timeouts_before);
+}
+
+// The wire size is taken from the request before it is moved into the
+// network: a CRaft shard RPC is billed its shard bytes, not just headers.
+TEST(ReplicationPipelineTest, ShardRpcIsBilledItsWireSize) {
+  sim::Simulator sim(1);
+  net::SimNetwork network(&sim, net::NetworkConfig{});
+  RaftOptions options = PipelineOptions(1, 1, 0);
+  options.erasure = true;
+  NetworkedContext ctx(&sim, &network, /*id=*/1, {2, 3}, options);
+  ctx.MakeLeader(1);
+
+  ClientRequest req;
+  req.client = net::kClientIdBase;
+  req.request_id = 1;
+  req.payload = std::string(512, 'x');
+  ctx.pipeline()->HandleClientRequest(std::move(req), 0, 0);
+  sim.RunUntil(Millis(50));
+
+  ASSERT_EQ(ctx.delivered.size(), 2u);  // One shard RPC per peer.
+  size_t built = 0;
+  for (const net::Message& m : ctx.delivered) {
+    const auto* rpc = m.payload.Get<AppendEntriesRequest>();
+    ASSERT_NE(rpc, nullptr);
+    ASSERT_TRUE(rpc->entry.IsFragment());
+    EXPECT_EQ(rpc->entry.payload.size(), 256u);  // k = 2 shards of 512 B.
+    EXPECT_EQ(m.bytes, rpc->WireSize());
+    built += rpc->WireSize();
+  }
+  EXPECT_EQ(network.bytes_sent(), built);
+}
+
+TEST(ReplicationPipelineTest, InstallSnapshotIsBilledItsWireSize) {
+  sim::Simulator sim(1);
+  net::SimNetwork network(&sim, net::NetworkConfig{});
+  NetworkedContext ctx(&sim, &network, /*id=*/1, {2},
+                       PipelineOptions(1, 1, 0));
+  ctx.MakeLeader(1);
+  ctx.core().snapshot_index = 10;
+  ctx.core().snapshot_term = 1;
+  ctx.core().snapshot_data = std::string(3000, 's');
+
+  ctx.pipeline()->SendInstallSnapshot(2);
+  sim.RunUntil(Millis(50));
+
+  ASSERT_EQ(ctx.delivered.size(), 1u);
+  const auto* rpc = ctx.delivered[0].payload.Get<InstallSnapshotRequest>();
+  ASSERT_NE(rpc, nullptr);
+  EXPECT_EQ(rpc->data.size(), 3000u);
+  EXPECT_EQ(network.bytes_sent(), rpc->WireSize());
 }
 
 }  // namespace
