@@ -16,7 +16,7 @@ IngestWorkload::IngestWorkload(Options options, uint64_t seed)
   }
 }
 
-std::string IngestWorkload::MakePayload(size_t target_size) {
+nbraft::Buffer IngestWorkload::MakePayload(size_t target_size) {
   ++requests_;
   batch_.clear();
   // The slow sine wave every sensor rides on; one value per request.
@@ -41,9 +41,9 @@ std::string IngestWorkload::MakePayload(size_t target_size) {
   }
   clock_ms_ += options_.sampling_interval_ms;
 
-  std::string payload;
-  tsdb::EncodeIngestBatch(batch_, target_size, &payload);
-  return payload;
+  std::string record;
+  tsdb::EncodeIngestBatch(batch_, &record);
+  return nbraft::Buffer(std::move(record), target_size);
 }
 
 }  // namespace nbraft::harness

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/random.h"
 #include "tsdb/ingest_record.h"
 
@@ -33,9 +34,10 @@ class IngestWorkload {
 
   IngestWorkload(Options options, uint64_t seed);
 
-  /// Builds one request payload of at least `target_size` bytes, with a
-  /// single allocation: the payload string itself.
-  std::string MakePayload(size_t target_size);
+  /// Builds one request payload of max(natural, target_size) bytes. Only
+  /// the encoded batch is stored (~255 bytes at 16 measurements); the
+  /// padding is the Buffer's zero tail, never allocated or written.
+  nbraft::Buffer MakePayload(size_t target_size);
 
   uint64_t requests_generated() const { return requests_; }
 

@@ -76,7 +76,7 @@ class RaftClient {
   };
 
   /// Generates a request payload of (at least) `target` bytes.
-  using PayloadFn = std::function<std::string(size_t target)>;
+  using PayloadFn = std::function<nbraft::Buffer(size_t target)>;
 
   RaftClient(sim::Simulator* sim, net::SimNetwork* network, net::NodeId id,
              std::vector<net::NodeId> servers, Options options,

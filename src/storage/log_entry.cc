@@ -43,7 +43,9 @@ void LogEntry::EncodeTo(std::string* out) const {
   PutVarint64(&body, frag_k);
   PutVarint64(&body, full_size);
   PutVarint64(&body, payload.size());
-  body.append(payload.data(), payload.size());
+  const std::string_view stored = payload.view();
+  body.append(stored);
+  body.append(payload.size() - stored.size(), '\0');  // The zero tail.
 
   PutVarint64(out, body.size());
   *out += body;

@@ -23,19 +23,15 @@ double BitsToDouble(uint64_t u) {
 }  // namespace
 
 void EncodeIngestBatch(const std::vector<Measurement>& batch,
-                       size_t target_size, std::string* out) {
-  const size_t start = out->size();
-  // A padded record is target_size bytes, so this is its one allocation.
-  out->reserve(start + target_size);
+                       std::string* out) {
+  // Worst case per measurement: two 10-byte varints and a fixed64. Reserving
+  // it makes the record one allocation.
+  out->reserve(out->size() + 10 + batch.size() * 28);
   PutVarint64(out, batch.size());
   for (const Measurement& m : batch) {
     PutVarint64(out, m.series_id);
     PutVarintSigned64(out, m.point.timestamp);
     PutFixed64(out, DoubleToBits(m.point.value));
-  }
-  const size_t natural = out->size() - start;
-  if (target_size > natural) {
-    out->append(target_size - natural, '\0');
   }
 }
 
@@ -45,7 +41,10 @@ Status ParseIngestBatch(std::string_view data, std::vector<Measurement>* out) {
   if (!GetVarint64(&data, &count)) {
     return Status::Corruption("ingest batch: truncated count");
   }
-  if (count > data.size()) {  // Each measurement needs >= 10 bytes; coarse.
+  // A measurement takes at least 10 bytes (two 1-byte varints and a
+  // fixed64), so a larger count is corrupt; rejecting it here keeps the
+  // reserve below proportional to the input.
+  if (count > data.size() / 10) {
     return Status::Corruption("ingest batch: implausible count");
   }
   out->reserve(count);

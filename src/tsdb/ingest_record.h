@@ -24,18 +24,18 @@ struct Measurement {
 /// Binary ingestion batch — the command format clients replicate through
 /// the consensus log (the TPCx-IoT-style workload of the evaluation).
 /// Layout: varint count, then (varint series_id, signed-varint timestamp,
-/// fixed64 value bits) per measurement, then arbitrary padding that brings
-/// the record to the workload's requested payload size (parsers ignore it).
+/// fixed64 value bits) per measurement. A payload may carry trailing
+/// padding up to the workload's requested size (parsers ignore it); the
+/// workload adds it as a Buffer zero tail, not here.
 ///
-/// Appends the record to `out`. If `target_size` > 0 the record is padded
-/// to exactly max(natural size, target_size) bytes.
+/// Appends the record to `out`.
 void EncodeIngestBatch(const std::vector<Measurement>& batch,
-                       size_t target_size, std::string* out);
+                       std::string* out);
 
-/// Parses an ingestion batch (ignoring padding) into `*out`, which is
-/// cleared first and keeps its capacity, so a caller that parses every
-/// entry reuses one buffer. On failure `*out` holds an unspecified prefix
-/// of the batch.
+/// Parses an ingestion batch (ignoring any bytes after the last
+/// measurement) into `*out`, which is cleared first and keeps its
+/// capacity, so a caller that parses every entry reuses one buffer. On
+/// failure `*out` holds an unspecified prefix of the batch.
 Status ParseIngestBatch(std::string_view data, std::vector<Measurement>* out);
 
 }  // namespace nbraft::tsdb

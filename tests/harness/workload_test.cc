@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "common/hash.h"
 #include "tsdb/ingest_record.h"
 
 namespace nbraft::harness {
@@ -12,8 +13,36 @@ namespace {
 TEST(WorkloadTest, PayloadMeetsTargetSize) {
   IngestWorkload workload({}, 1);
   for (size_t target : {256u, 1024u, 4096u, 65536u}) {
-    const std::string payload = workload.MakePayload(target);
+    const Buffer payload = workload.MakePayload(target);
     EXPECT_EQ(payload.size(), target);
+  }
+}
+
+TEST(WorkloadTest, PaddingIsAZeroTailNotStoredBytes) {
+  IngestWorkload workload({}, 1);
+  const Buffer payload = workload.MakePayload(128 * 1024);
+  EXPECT_EQ(payload.size(), 128u * 1024);
+  EXPECT_LT(payload.view().size(), 1024u);  // Only the encoded batch.
+  std::vector<tsdb::Measurement> batch;
+  ASSERT_TRUE(tsdb::ParseIngestBatch(payload, &batch).ok());
+  EXPECT_EQ(batch.size(), 16u);
+}
+
+// The logical bytes are those of the fully padded records the workload
+// built before padding became a zero tail: sizes and FNV-1a digests pinned
+// from that encoding, first payload of a seed-1 workload per target.
+TEST(WorkloadTest, LogicalBytesMatchThePaddedEncoding) {
+  const struct {
+    size_t target;
+    uint64_t fnv;
+  } kPinned[] = {{256, 0x740fad465e43c949ull},
+                 {4096, 0xee6c04f319cfe549ull},
+                 {131072, 0xb61df539fd35a549ull}};
+  for (const auto& pin : kPinned) {
+    IngestWorkload workload({}, 1);
+    const std::string bytes = workload.MakePayload(pin.target).str();
+    EXPECT_EQ(bytes.size(), pin.target);
+    EXPECT_EQ(Fnv1a64(bytes), pin.fnv) << "target " << pin.target;
   }
 }
 
@@ -21,7 +50,7 @@ TEST(WorkloadTest, PayloadParsesAsIngestBatch) {
   IngestWorkload::Options options;
   options.measurements_per_request = 8;
   IngestWorkload workload(options, 2);
-  const std::string payload = workload.MakePayload(1024);
+  const Buffer payload = workload.MakePayload(1024);
   std::vector<tsdb::Measurement> batch;
   ASSERT_TRUE(tsdb::ParseIngestBatch(payload, &batch).ok());
   EXPECT_EQ(batch.size(), 8u);

@@ -23,7 +23,7 @@ storage::LogEntry IngestEntry(storage::LogIndex index,
   e.index = index;
   e.term = 1;
   std::string bytes;
-  tsdb::EncodeIngestBatch(batch, 0, &bytes);
+  tsdb::EncodeIngestBatch(batch, &bytes);
   e.payload = std::move(bytes);
   return e;
 }

@@ -158,6 +158,30 @@ class CapturingBackend : public LogBackend {
   std::vector<LogEntry>* out_;
 };
 
+TEST(LogEntryTest, ZeroTailPayloadEncodesAsItsStoredForm) {
+  LogEntry tail = SampleEntry();
+  tail.payload = nbraft::Buffer("batch", 4096);
+  LogEntry stored = tail;
+  stored.payload = std::string("batch") + std::string(4096 - 5, '\0');
+  ASSERT_EQ(tail.payload.view().size(), 5u);
+  ASSERT_EQ(stored.payload.view().size(), 4096u);
+
+  std::string tail_bytes;
+  tail.EncodeTo(&tail_bytes);
+  std::string stored_bytes;
+  stored.EncodeTo(&stored_bytes);
+  EXPECT_EQ(tail_bytes, stored_bytes);
+  EXPECT_EQ(tail.EncodedSize(), tail_bytes.size());
+
+  std::string_view in(tail_bytes);
+  auto decoded = LogEntry::DecodeFrom(&in);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(decoded.value(), tail);
+  EXPECT_EQ(decoded.value(), stored);
+  EXPECT_EQ(decoded->payload.size(), 4096u);
+}
+
 size_t EncodedLength(const LogEntry& e) {
   std::string buf;
   e.EncodeTo(&buf);
@@ -183,6 +207,9 @@ TEST(LogEntryTest, EncodedSizeMatchesEncoding) {
   LogEntry released = MakeEntry(11, 3, 3, std::string(2048, 'r'));
   released.ReleasePayload();
   cases.emplace_back("released payload", released);
+  LogEntry tail = SampleEntry();
+  tail.payload = nbraft::Buffer("batch", 70000);
+  cases.emplace_back("zero-tail payload", tail);
   LogEntry large;
   large.index = std::numeric_limits<LogIndex>::max();
   large.term = std::numeric_limits<Term>::min();

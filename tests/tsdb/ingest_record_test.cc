@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/buffer.h"
 #include "common/random.h"
 
 namespace nbraft::tsdb {
@@ -17,42 +18,47 @@ std::vector<Measurement> SampleBatch() {
 
 TEST(IngestRecordTest, RoundTrip) {
   std::string buf;
-  EncodeIngestBatch(SampleBatch(), 0, &buf);
+  EncodeIngestBatch(SampleBatch(), &buf);
   std::vector<Measurement> parsed;
   const Status status = ParseIngestBatch(buf, &parsed);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(parsed, SampleBatch());
 }
 
-TEST(IngestRecordTest, PaddingToTargetSize) {
+/// The record padded to `target_size` the way the workload pads it: as a
+/// Buffer zero tail.
+Buffer Padded(const std::vector<Measurement>& batch, size_t target_size) {
   std::string buf;
-  EncodeIngestBatch(SampleBatch(), 4096, &buf);
+  EncodeIngestBatch(batch, &buf);
+  return Buffer(std::move(buf), target_size);
+}
+
+TEST(IngestRecordTest, PaddingToTargetSize) {
+  const Buffer buf = Padded(SampleBatch(), 4096);
   EXPECT_EQ(buf.size(), 4096u);
   std::vector<Measurement> parsed;
-  ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+  ASSERT_TRUE(ParseIngestBatch(buf.str(), &parsed).ok());
   EXPECT_EQ(parsed, SampleBatch());
 }
 
 TEST(IngestRecordTest, TargetSmallerThanNaturalKeepsNatural) {
-  std::string buf;
-  EncodeIngestBatch(SampleBatch(), 1, &buf);
+  const Buffer buf = Padded(SampleBatch(), 1);
   std::vector<Measurement> parsed;
-  ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+  ASSERT_TRUE(ParseIngestBatch(buf.str(), &parsed).ok());
   EXPECT_EQ(parsed.size(), 3u);
 }
 
 TEST(IngestRecordTest, EmptyBatch) {
-  std::string buf;
-  EncodeIngestBatch({}, 64, &buf);
+  const Buffer buf = Padded({}, 64);
   EXPECT_EQ(buf.size(), 64u);
   std::vector<Measurement> parsed;
-  ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+  ASSERT_TRUE(ParseIngestBatch(buf.str(), &parsed).ok());
   EXPECT_TRUE(parsed.empty());
 }
 
 TEST(IngestRecordTest, AppendsToExistingBuffer) {
   std::string buf = "prefix";
-  EncodeIngestBatch(SampleBatch(), 0, &buf);
+  EncodeIngestBatch(SampleBatch(), &buf);
   EXPECT_EQ(buf.substr(0, 6), "prefix");
   std::vector<Measurement> parsed;
   ASSERT_TRUE(ParseIngestBatch(std::string_view(buf).substr(6), &parsed).ok());
@@ -61,7 +67,7 @@ TEST(IngestRecordTest, AppendsToExistingBuffer) {
 
 TEST(IngestRecordTest, TruncatedFails) {
   std::string buf;
-  EncodeIngestBatch(SampleBatch(), 0, &buf);
+  EncodeIngestBatch(SampleBatch(), &buf);
   std::vector<Measurement> parsed;
   for (size_t keep = 0; keep + 10 < buf.size(); keep += 7) {
     EXPECT_FALSE(
@@ -76,6 +82,21 @@ TEST(IngestRecordTest, ImplausibleCountRejected) {
   buf.push_back('\x7f');  // count = 127, no data.
   std::vector<Measurement> parsed;
   EXPECT_FALSE(ParseIngestBatch(buf, &parsed).ok());
+}
+
+TEST(IngestRecordTest, CountJustOverTheTenBytesPerMeasurementBound) {
+  // Two measurements need at least 20 bytes after the count.
+  std::string at_bound(1, '\x02');
+  at_bound.append(20, '\0');  // Two all-zero minimal measurements.
+  std::vector<Measurement> parsed;
+  ASSERT_TRUE(ParseIngestBatch(at_bound, &parsed).ok());
+  EXPECT_EQ(parsed.size(), 2u);
+
+  const std::string over = at_bound.substr(0, at_bound.size() - 1);
+  const Status status = ParseIngestBatch(over, &parsed);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("implausible count"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(IngestRecordTest, GarbageRejectedOrEmpty) {
@@ -95,11 +116,9 @@ TEST(IngestRecordTest, RandomizedRoundTrip) {
       m.point.value = rng.NextGaussian(0, 1e4);
       batch.push_back(m);
     }
-    std::string buf;
-    const size_t target = rng.NextBounded(2048);
-    EncodeIngestBatch(batch, target, &buf);
+    const Buffer buf = Padded(batch, rng.NextBounded(2048));
     std::vector<Measurement> parsed;
-    ASSERT_TRUE(ParseIngestBatch(buf, &parsed).ok());
+    ASSERT_TRUE(ParseIngestBatch(buf.str(), &parsed).ok());
     ASSERT_EQ(parsed, batch);
   }
 }

@@ -16,8 +16,8 @@ storage::LogEntry IngestEntry(storage::LogIndex index,
   e.term = 1;
   e.prev_term = 1;
   std::string bytes;
-  EncodeIngestBatch(batch, target_size, &bytes);
-  e.payload = std::move(bytes);
+  EncodeIngestBatch(batch, &bytes);
+  e.payload = Buffer(std::move(bytes), target_size);
   return e;
 }
 
