@@ -283,7 +283,9 @@ void PostmortemDigest() {
 }
 
 // Digests the export files of one traced steady run sampled every 1 ms:
-// the Chrome trace, the trace JSONL and the Prometheus snapshot.
+// the Chrome trace, the trace JSONL, the Prometheus snapshot and the
+// bundle's full journal (JSONL and timeline), which pins every RPC
+// send/receive record.
 void ExportDigest(raft::Protocol protocol, uint64_t seed) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
@@ -301,11 +303,15 @@ void ExportDigest(raft::Protocol protocol, uint64_t seed) {
     std::printf("obs export %-8s seed %llu: FAILED\n", tag.c_str(),
                 static_cast<unsigned long long>(seed));
   } else {
-    std::printf("obs export %-8s seed %llu: trace %s jsonl %s prom %s\n",
-                tag.c_str(), static_cast<unsigned long long>(seed),
-                FileDigest(config.trace_path).c_str(),
-                FileDigest(config.trace_jsonl_path).c_str(),
-                FileDigest((dir / "metrics.prom").string()).c_str());
+    std::printf(
+        "obs export %-8s seed %llu: trace %s jsonl %s prom %s journal %s "
+        "timeline %s\n",
+        tag.c_str(), static_cast<unsigned long long>(seed),
+        FileDigest(config.trace_path).c_str(),
+        FileDigest(config.trace_jsonl_path).c_str(),
+        FileDigest((dir / "metrics.prom").string()).c_str(),
+        FileDigest((dir / "journal.jsonl").string()).c_str(),
+        FileDigest((dir / "timeline.txt").string()).c_str());
   }
   std::filesystem::remove_all(dir);
 }
