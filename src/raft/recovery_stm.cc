@@ -122,6 +122,7 @@ void RecoveryStm::RunRound(net::NodeId learner) {
     // install. SendInstallSnapshot no-ops while one is in flight, so a
     // backoff-extended round never double-sends.
     state.stage = Stage::kSnapshot;
+    state.at_head = false;
     ctx_->pipeline()->SendInstallSnapshot(learner);
   } else {
     state.stage = Stage::kLogTail;
@@ -129,6 +130,7 @@ void RecoveryStm::RunRound(net::NodeId learner) {
         last, needed + static_cast<storage::LogIndex>(
                            opts.recovery_max_entries_per_round) -
                   1);
+    state.at_head = end == last;
     for (storage::LogIndex index = needed; index <= end; ++index) {
       ctx_->pipeline()->EnqueueForPeer(learner, index);
     }

@@ -53,6 +53,14 @@ class RecoveryStm {
   bool Tracking(net::NodeId learner) const {
     return learners_.count(learner) != 0;
   }
+  /// Whether the learner is fed only by recovery rounds: tracked and not
+  /// yet read out to the log head. Fan-out skips such a learner; once a
+  /// round reaches the head, new entries are contiguous with what it
+  /// holds and ordinary fan-out keeps it there.
+  bool FeedsInOrder(net::NodeId learner) const {
+    const auto it = learners_.find(learner);
+    return it != learners_.end() && !it->second.at_head;
+  }
   Stage StageOf(net::NodeId learner) const;
   /// Rounds run so far for `learner` (test introspection).
   int RoundsFor(net::NodeId learner) const;
@@ -68,6 +76,7 @@ class RecoveryStm {
     Stage stage = Stage::kLogTail;
     storage::LogIndex matched = 0;        ///< Contiguous durable prefix.
     storage::LogIndex round_baseline = -1;  ///< `matched` at last round.
+    bool at_head = false;  ///< Last round read out to the log head.
     int stalled_rounds = 0;
     int rounds = 0;
     SimDuration last_delay = 0;

@@ -337,5 +337,65 @@ TEST(ElasticScaleTest, GrowTransferShrinkLifecycle) {
   EXPECT_GE(transfers, 1u);
 }
 
+/// Two learners joining a saturated 3-voter cluster (bench_membership's
+/// load) must both reach their voter seats under a tight promotion lag.
+/// The leader appends far more than `promotion_lag` entries per recovery
+/// round, so a learner fed only by throttled rounds is always behind at
+/// the round's eligibility check; it has to rejoin ordinary fan-out once
+/// a round reads it out to the log head.
+TEST(ElasticScaleTest, TightLagSeatsBothLearnersUnderSaturatingLoad) {
+  for (const raft::Protocol protocol :
+       {raft::Protocol::kRaft, raft::Protocol::kNbRaft}) {
+    harness::ClusterConfig config;
+    config.num_nodes = 5;
+    config.initial_voters = 3;
+    config.promotion_lag = 4;
+    config.recovery_batch = 512;
+    config.num_clients = 4;
+    config.workload.series_count = 64;
+    config.protocol = protocol;
+    config.window_size = protocol == raft::Protocol::kRaft ? 0 : 32;
+    config.payload_size = 1024;
+    config.client_think = Micros(5);
+    config.seed = 271828;
+    config.release_payloads = true;
+    config.pre_vote = true;
+    config.check_quorum = true;
+    config.leader_lease = true;
+    harness::Cluster cluster(config);
+    cluster.Start();
+    ASSERT_TRUE(cluster.AwaitLeader());
+    cluster.StartClients();
+    cluster.RunFor(Millis(100));
+
+    // Proposes AddNode(host) and waits up to 2 s of virtual time for the
+    // leader to seat it as a voter.
+    const auto join_and_seat = [&cluster](int host) {
+      bool proposed = cluster.AddNode(0, host);
+      for (int i = 0; i < 400; ++i) {
+        cluster.RunFor(Millis(5));
+        raft::RaftNode* leader = cluster.leader();
+        if (leader == nullptr) continue;
+        if (!proposed) proposed = cluster.AddNode(0, host);
+        if (!leader->membership()->ChangeInFlight() &&
+            leader->membership()->IsVoter(host)) {
+          return true;
+        }
+      }
+      return false;
+    };
+    const std::string name(raft::ProtocolName(protocol));
+    EXPECT_TRUE(join_and_seat(3)) << name << ": host 3 never seated";
+    EXPECT_TRUE(join_and_seat(4)) << name << ": host 4 never seated";
+    uint64_t promoted = 0;
+    for (int i = 0; i < cluster.num_nodes(); ++i) {
+      promoted += cluster.node(i)->stats().learners_promoted;
+    }
+    EXPECT_EQ(promoted, 2u) << name;
+    EXPECT_TRUE(cluster.CheckLogMatching().ok()) << name;
+    EXPECT_TRUE(cluster.CheckCommittedPrefixes().ok()) << name;
+  }
+}
+
 }  // namespace
 }  // namespace nbraft::chaos
