@@ -130,8 +130,8 @@ struct ClusterConfig {
 
   /// Enables the cluster flight recorder (implied by `trace`): one fixed
   /// ring of structured protocol events per node (role/term changes,
-  /// elections, decoded RPCs, window transitions, commit/apply advances,
-  /// disk barriers, chaos faults). Off by default — an unjournaled run
+  /// elections, RPC sends/receives, window transitions, commit/apply
+  /// advances, disk barriers, chaos faults). Off by default — an unjournaled run
   /// pays one null check per hook.
   bool journal = false;
 

@@ -38,10 +38,6 @@ const char* JournalRpcName(JournalRpc rpc) {
       return "install_snapshot";
     case JournalRpc::kInstallSnapshotResp:
       return "install_snapshot_resp";
-    case JournalRpc::kRead:
-      return "read";
-    case JournalRpc::kReadResp:
-      return "read_resp";
     case JournalRpc::kTimeoutNow:
       return "timeout_now";
     case JournalRpc::kUnknown:

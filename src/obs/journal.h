@@ -66,8 +66,9 @@ enum class JournalEventKind : uint8_t {
 };
 
 /// RPC type vocabulary for kRpcSend/kRpcRecv `a` arguments. Defined here so
-/// the journal can print names without depending on the raft layer; the
-/// raft message router translates payload types into this enum.
+/// the journal can print names without depending on the raft layer; each
+/// raft message struct names its own kind (rpc()). The trace exports print
+/// the raw value, so values never move: 9 and 10 are retired.
 enum class JournalRpc : int8_t {
   kUnknown = -1,
   kAppendEntries = 0,
@@ -79,9 +80,7 @@ enum class JournalRpc : int8_t {
   kClientResponse,
   kInstallSnapshot,
   kInstallSnapshotResp,
-  kRead,
-  kReadResp,
-  kTimeoutNow,
+  kTimeoutNow = 11,
 };
 
 const char* JournalRpcName(JournalRpc rpc);

@@ -128,7 +128,7 @@ void CommitApplier::ApplyReadyEntries() {
             cresp.request_id = request_id;
             cresp.index = index;
             cresp.term = term;
-            ctx_->SendTo(client, cresp.WireSize(), cresp);
+            ctx_->SendTo(client, cresp);
           }
         });
   }
@@ -178,7 +178,7 @@ void CommitApplier::FailPendingClientEntries(storage::Term new_term,
       cresp.index = index;
       cresp.term = new_term;
       cresp.leader_hint = new_leader;
-      ctx_->SendTo(e->client_id, cresp.WireSize(), cresp);
+      ctx_->SendTo(e->client_id, cresp);
     }
     vote_list_.RemoveFront();
   }

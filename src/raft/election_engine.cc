@@ -117,7 +117,7 @@ void ElectionEngine::StartPreVote() {
   req.last_log_term = ctx_->log().LastTerm();
   req.pre_vote = true;
   for (net::NodeId peer : ctx_->peer_ids()) {
-    ctx_->SendTo(peer, req.WireSize(), req);
+    ctx_->SendTo(peer, req);
   }
   ArmElectionTimer();  // Retry the canvass with a fresh randomized timeout.
 }
@@ -175,7 +175,7 @@ void ElectionEngine::StartElection() {
       return;
     }
     for (net::NodeId peer : ctx_->peer_ids()) {
-      ctx_->SendTo(peer, req.WireSize(), req);
+      ctx_->SendTo(peer, req);
     }
   });
   ArmElectionTimer();  // Retry with a fresh randomized timeout.
@@ -193,7 +193,7 @@ void ElectionEngine::SendLeaseReject(const RequestVoteRequest& req) {
   resp.from = ctx_->id();
   resp.granted = false;
   resp.pre_vote = req.pre_vote;
-  ctx_->SendTo(req.candidate, resp.WireSize(), resp);
+  ctx_->SendTo(req.candidate, resp);
 }
 
 void ElectionEngine::HandlePreVoteRequest(const RequestVoteRequest& req) {
@@ -229,7 +229,7 @@ void ElectionEngine::HandlePreVoteRequest(const RequestVoteRequest& req) {
               ctx_->id(), static_cast<int32_t>(req.candidate),
               static_cast<int64_t>(req.term));
   }
-  ctx_->SendTo(req.candidate, resp.WireSize(), resp);
+  ctx_->SendTo(req.candidate, resp);
 }
 
 void ElectionEngine::HandleRequestVote(RequestVoteRequest req) {
@@ -276,7 +276,7 @@ void ElectionEngine::HandleRequestVote(RequestVoteRequest req) {
     }
   }
   if (!resp.granted) {
-    ctx_->SendTo(req.candidate, resp.WireSize(), resp);
+    ctx_->SendTo(req.candidate, resp);
     return;
   }
   // The vote is a durable promise: it must not reach the candidate before
@@ -286,7 +286,7 @@ void ElectionEngine::HandleRequestVote(RequestVoteRequest req) {
   ctx_->WhenDurable([this, epoch, candidate, resp]() {
     const CoreState& c = ctx_->core();
     if (c.crashed || epoch != c.epoch) return;
-    ctx_->SendTo(candidate, resp.WireSize(), resp);
+    ctx_->SendTo(candidate, resp);
   });
 }
 
@@ -341,7 +341,7 @@ bool ElectionEngine::TransferLeadership(net::NodeId target) {
   TimeoutNowRequest req;
   req.term = core.current_term;
   req.leader = ctx_->id();
-  ctx_->SendTo(target, req.WireSize(), req);
+  ctx_->SendTo(target, req);
   return true;
 }
 

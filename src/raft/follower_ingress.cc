@@ -93,7 +93,7 @@ void FollowerIngress::HandleAppendEntries(AppendEntriesRequest req,
     resp.entry_index = req.is_heartbeat ? 0 : req.entry.index;
     resp.last_index = log.LastIndex();
     resp.last_term = log.LastTerm();
-    ctx_->SendTo(req.leader, resp.WireSize(), resp);
+    ctx_->SendTo(req.leader, resp);
     return;
   }
   ctx_->election()->NoteLeaderContact(req.term, req.leader);
@@ -103,7 +103,7 @@ void FollowerIngress::HandleAppendEntries(AppendEntriesRequest req,
     AppendEntriesRequest fwd = req;
     fwd.relay_to.clear();
     for (net::NodeId target : req.relay_to) {
-      ctx_->SendTo(target, fwd.WireSize(), fwd);
+      ctx_->SendTo(target, fwd);
     }
     req.relay_to.clear();
   }
@@ -123,7 +123,7 @@ void FollowerIngress::HandleAppendEntries(AppendEntriesRequest req,
     resp.is_heartbeat = true;
     resp.last_index = log.LastIndex();
     resp.last_term = log.LastTerm();
-    ctx_->SendTo(req.leader, resp.WireSize(), resp);
+    ctx_->SendTo(req.leader, resp);
     return;
   }
 
@@ -468,7 +468,7 @@ void FollowerIngress::RespondAppend(const AppendEntriesRequest& req,
   resp.entry_index = req.entry.index;
   resp.last_index = last_index;
   resp.last_term = last_term;
-  ctx_->SendTo(req.leader, resp.WireSize(), resp);
+  ctx_->SendTo(req.leader, resp);
 }
 
 void FollowerIngress::RecheckHeldEntries() {
@@ -537,7 +537,7 @@ void FollowerIngress::HandleInstallSnapshot(InstallSnapshotRequest req) {
     resp.term = core.current_term;
     resp.installed = false;
     resp.last_index = log.LastIndex();
-    ctx_->SendTo(req.leader, resp.WireSize(), resp);
+    ctx_->SendTo(req.leader, resp);
     return;
   }
   ctx_->election()->NoteLeaderContact(req.term, req.leader);
@@ -547,7 +547,7 @@ void FollowerIngress::HandleInstallSnapshot(InstallSnapshotRequest req) {
     // Already at or past the snapshot: nothing to install.
     resp.installed = false;
     resp.last_index = log.LastIndex();
-    ctx_->SendTo(req.leader, resp.WireSize(), resp);
+    ctx_->SendTo(req.leader, resp);
     return;
   }
 
@@ -557,7 +557,7 @@ void FollowerIngress::HandleInstallSnapshot(InstallSnapshotRequest req) {
                      << ": snapshot restore failed: " << restored.ToString();
     resp.installed = false;
     resp.last_index = log.LastIndex();
-    ctx_->SendTo(req.leader, resp.WireSize(), resp);
+    ctx_->SendTo(req.leader, resp);
     return;
   }
   log.ResetToSnapshot(req.last_included_index, req.last_included_term);
@@ -599,7 +599,7 @@ void FollowerIngress::HandleInstallSnapshot(InstallSnapshotRequest req) {
   ctx_->cpu()->Submit(cost, [this, epoch, resp, leader = req.leader]() {
     const CoreState& c = ctx_->core();
     if (c.crashed || epoch != c.epoch) return;
-    ctx_->SendTo(leader, resp.WireSize(), resp);
+    ctx_->SendTo(leader, resp);
   });
 }
 

@@ -7,10 +7,15 @@
 
 #include "common/buffer.h"
 #include "net/network.h"
+#include "obs/journal.h"
 #include "raft/types.h"
 #include "storage/log_entry.h"
 
 namespace nbraft::raft {
+
+// The closed set of RPCs. Each struct is the one place that knows its
+// modelled wire size (WireSize()) and its journal kind (rpc());
+// NodeContext::SendTo reads both off the message it sends.
 
 /// AppendEntries RPC. Each dispatcher is a synchronous RPC lane (paper
 /// Fig. 3) carrying `entry`; heartbeats are empty RPCs that also carry the
@@ -52,6 +57,10 @@ struct AppendEntriesRequest {
     for (const storage::LogEntry& e : extra_entries) size += e.WireSize();
     return size;
   }
+  obs::JournalRpc rpc() const {
+    return is_heartbeat ? obs::JournalRpc::kHeartbeat
+                        : obs::JournalRpc::kAppendEntries;
+  }
 };
 
 /// Response to AppendEntries, covering all the paper's reply kinds.
@@ -74,6 +83,7 @@ struct AppendEntriesResponse {
   bool is_heartbeat = false;
 
   size_t WireSize() const { return 64; }
+  obs::JournalRpc rpc() const { return obs::JournalRpc::kAppendEntriesResp; }
 };
 
 struct RequestVoteRequest {
@@ -88,6 +98,7 @@ struct RequestVoteRequest {
   bool pre_vote = false;
 
   size_t WireSize() const { return 64; }
+  obs::JournalRpc rpc() const { return obs::JournalRpc::kRequestVote; }
 };
 
 struct RequestVoteResponse {
@@ -97,6 +108,7 @@ struct RequestVoteResponse {
   bool pre_vote = false;  ///< Echoes the request's pre_vote flag.
 
   size_t WireSize() const { return 48; }
+  obs::JournalRpc rpc() const { return obs::JournalRpc::kRequestVoteResp; }
 };
 
 /// Leader -> lagging follower: full state-machine snapshot replacing the
@@ -115,6 +127,7 @@ struct InstallSnapshotRequest {
   std::string config;
 
   size_t WireSize() const { return data.size() + config.size() + 96; }
+  obs::JournalRpc rpc() const { return obs::JournalRpc::kInstallSnapshot; }
 };
 
 struct InstallSnapshotResponse {
@@ -125,6 +138,9 @@ struct InstallSnapshotResponse {
   storage::LogIndex last_index = 0;  ///< Follower log end after install.
 
   size_t WireSize() const { return 64; }
+  obs::JournalRpc rpc() const {
+    return obs::JournalRpc::kInstallSnapshotResp;
+  }
 };
 
 /// A client write request (one IoT ingestion batch).
@@ -136,6 +152,7 @@ struct ClientRequest {
   nbraft::Buffer payload;
 
   size_t WireSize() const { return payload.size() + 48; }
+  obs::JournalRpc rpc() const { return obs::JournalRpc::kClientRequest; }
 };
 
 /// Leader -> client reply (Sec. III-C): WEAK_ACCEPT unblocks the client's
@@ -148,6 +165,7 @@ struct ClientResponse {
   net::NodeId leader_hint = net::kInvalidNode;
 
   size_t WireSize() const { return 64; }
+  obs::JournalRpc rpc() const { return obs::JournalRpc::kClientResponse; }
 };
 
 /// Leader -> chosen successor: leadership transfer (graceful drain). The
@@ -159,24 +177,7 @@ struct TimeoutNowRequest {
   net::NodeId leader = net::kInvalidNode;
 
   size_t WireSize() const { return 48; }
-};
-
-/// Follower-read query (supported by Raft/NB-Raft, not by CRaft variants —
-/// Table II): returns how many points a series holds on that replica.
-struct ReadRequest {
-  net::NodeId client = net::kInvalidNode;
-  uint64_t request_id = 0;
-  uint64_t series_id = 0;
-
-  size_t WireSize() const { return 48; }
-};
-
-struct ReadResponse {
-  uint64_t request_id = 0;
-  bool supported = true;  ///< False on erasure-coded replicas.
-  uint64_t point_count = 0;
-
-  size_t WireSize() const { return 48; }
+  obs::JournalRpc rpc() const { return obs::JournalRpc::kTimeoutNow; }
 };
 
 }  // namespace nbraft::raft

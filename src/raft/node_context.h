@@ -111,8 +111,18 @@ class NodeContext {
   virtual const storage::RaftLog& log() const = 0;
 
   // ---- Services ----
-  virtual void SendTo(net::NodeId to, size_t bytes,
-                      net::PayloadRef payload) = 0;
+  /// Sends one RPC (a raft/messages.h struct), billed its own WireSize()
+  /// and journaled as its own rpc(). Both are read before the message
+  /// moves into the payload, so no caller can bill a moved-from request.
+  template <typename Msg>
+  void SendTo(net::NodeId to, Msg&& msg) {
+    const size_t bytes = msg.WireSize();
+    const obs::JournalRpc rpc = msg.rpc();
+    Transmit(to, bytes, rpc, net::PayloadRef(std::forward<Msg>(msg)));
+  }
+  /// SendTo's one primitive: puts an already-sized payload on the wire.
+  virtual void Transmit(net::NodeId to, size_t bytes, obs::JournalRpc rpc,
+                        net::PayloadRef payload) = 0;
   virtual void PersistEntry(const storage::LogEntry& entry) = 0;
   virtual void PersistTruncate(storage::LogIndex from_index) = 0;
   virtual void PersistHardState() = 0;

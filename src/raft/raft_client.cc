@@ -48,7 +48,7 @@ void RaftClient::HandleMessage(net::Message&& msg) {
   if (auto* resp = msg.payload.Get<ClientResponse>()) {
     if (journal_ != nullptr) {
       journal_->Record(obs::JournalEventKind::kRpcRecv, id_, msg.from,
-                       static_cast<int64_t>(obs::JournalRpc::kClientResponse),
+                       static_cast<int64_t>(resp->rpc()),
                        static_cast<int64_t>(msg.bytes));
     }
     HandleResponse(*resp, msg.from);
@@ -107,10 +107,11 @@ void RaftClient::SendRequest(const PendingRequest& req) {
   wire.client = id_;
   wire.request_id = req.request_id;
   wire.payload = req.payload;
+  // Size and kind before the move, as NodeContext::SendTo reads them.
   const size_t bytes = wire.WireSize();
   if (journal_ != nullptr) {
     journal_->Record(obs::JournalEventKind::kRpcSend, id_, leader_guess_,
-                     static_cast<int64_t>(obs::JournalRpc::kClientRequest),
+                     static_cast<int64_t>(wire.rpc()),
                      static_cast<int64_t>(bytes));
   }
   network_->Send(id_, leader_guess_, bytes, std::move(wire));

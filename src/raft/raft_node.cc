@@ -5,49 +5,6 @@
 #include "common/logging.h"
 
 namespace nbraft::raft {
-namespace {
-
-/// Translates a wire payload into the journal's RPC vocabulary. Only
-/// called when a journal is attached, so untraced runs never pay for the
-/// type probes.
-obs::JournalRpc DecodeRpc(const net::PayloadRef& payload) {
-  if (const auto* ae = payload.Get<AppendEntriesRequest>()) {
-    return ae->is_heartbeat ? obs::JournalRpc::kHeartbeat
-                            : obs::JournalRpc::kAppendEntries;
-  }
-  if (payload.Get<AppendEntriesResponse>() != nullptr) {
-    return obs::JournalRpc::kAppendEntriesResp;
-  }
-  if (payload.Get<RequestVoteRequest>() != nullptr) {
-    return obs::JournalRpc::kRequestVote;
-  }
-  if (payload.Get<RequestVoteResponse>() != nullptr) {
-    return obs::JournalRpc::kRequestVoteResp;
-  }
-  if (payload.Get<ClientRequest>() != nullptr) {
-    return obs::JournalRpc::kClientRequest;
-  }
-  if (payload.Get<ClientResponse>() != nullptr) {
-    return obs::JournalRpc::kClientResponse;
-  }
-  if (payload.Get<InstallSnapshotRequest>() != nullptr) {
-    return obs::JournalRpc::kInstallSnapshot;
-  }
-  if (payload.Get<InstallSnapshotResponse>() != nullptr) {
-    return obs::JournalRpc::kInstallSnapshotResp;
-  }
-  if (payload.Get<ReadRequest>() != nullptr) return obs::JournalRpc::kRead;
-  if (payload.Get<ReadResponse>() != nullptr) {
-    return obs::JournalRpc::kReadResp;
-  }
-  if (payload.Get<TimeoutNowRequest>() != nullptr) {
-    return obs::JournalRpc::kTimeoutNow;
-  }
-  return obs::JournalRpc::kUnknown;
-}
-
-}  // namespace
-
 RaftNode::RaftNode(sim::Simulator* sim, net::SimNetwork* network,
                    net::NodeId id, std::vector<net::NodeId> peers,
                    RaftOptions options,
@@ -202,12 +159,8 @@ int64_t RaftNode::TraceTermAt(storage::LogIndex index) const {
 void RaftNode::HandleMessage(net::Message&& msg) {
   if (core_.crashed) return;
   const SimTime received_at = sim_->Now();
-  if (journal_ != nullptr) {
-    journal_->Record(obs::JournalEventKind::kRpcRecv, id_, msg.from,
-                     static_cast<int64_t>(DecodeRpc(msg.payload)),
-                     static_cast<int64_t>(msg.bytes));
-  }
   if (auto* ae = msg.payload.Get<AppendEntriesRequest>()) {
+    JournalRecv(msg, *ae);
     if (!ae->is_heartbeat) {
       TracePhase(metrics::Phase::kTransLeaderFollower, msg.sent_at,
                  received_at, ae->entry.term, ae->entry.index,
@@ -215,52 +168,38 @@ void RaftNode::HandleMessage(net::Message&& msg) {
     }
     ingress_->HandleAppendEntries(std::move(*ae), received_at);
   } else if (auto* aer = msg.payload.Get<AppendEntriesResponse>()) {
+    JournalRecv(msg, *aer);
     pipeline_->HandleAppendResponse(std::move(*aer));
   } else if (auto* rv = msg.payload.Get<RequestVoteRequest>()) {
+    JournalRecv(msg, *rv);
     election_->HandleRequestVote(*rv);
   } else if (auto* rvr = msg.payload.Get<RequestVoteResponse>()) {
+    JournalRecv(msg, *rvr);
     election_->HandleVoteResponse(*rvr);
   } else if (auto* cr = msg.payload.Get<ClientRequest>()) {
+    JournalRecv(msg, *cr);
     pipeline_->HandleClientRequest(std::move(*cr), received_at, msg.sent_at);
   } else if (auto* is = msg.payload.Get<InstallSnapshotRequest>()) {
+    JournalRecv(msg, *is);
     ingress_->HandleInstallSnapshot(std::move(*is));
   } else if (auto* isr = msg.payload.Get<InstallSnapshotResponse>()) {
+    JournalRecv(msg, *isr);
     pipeline_->HandleInstallSnapshotResponse(*isr);
-  } else if (auto* rr = msg.payload.Get<ReadRequest>()) {
-    HandleReadRequest(*rr);
   } else if (auto* tn = msg.payload.Get<TimeoutNowRequest>()) {
+    JournalRecv(msg, *tn);
     election_->HandleTimeoutNow(*tn);
   } else {
     NBRAFT_LOG(Warn) << "node " << id_ << ": unknown message type";
   }
 }
 
-void RaftNode::SendTo(net::NodeId to, size_t bytes,
-                      net::PayloadRef payload) {
+void RaftNode::Transmit(net::NodeId to, size_t bytes, obs::JournalRpc rpc,
+                        net::PayloadRef payload) {
   if (journal_ != nullptr) {
     journal_->Record(obs::JournalEventKind::kRpcSend, id_, to,
-                     static_cast<int64_t>(DecodeRpc(payload)),
-                     static_cast<int64_t>(bytes));
+                     static_cast<int64_t>(rpc), static_cast<int64_t>(bytes));
   }
   network_->Send(id_, to, bytes, std::move(payload));
-}
-
-// ---------------------------------------------------------------------------
-// Reads
-// ---------------------------------------------------------------------------
-
-void RaftNode::HandleReadRequest(ReadRequest req) {
-  ReadResponse resp;
-  resp.request_id = req.request_id;
-  if (options_.erasure && core_.role != Role::kLeader) {
-    // Fragmented replicas cannot serve reads (Table II: no follower read
-    // under CRaft).
-    resp.supported = false;
-  } else {
-    resp.supported = true;
-    resp.point_count = state_machine_->PointCount(req.series_id);
-  }
-  SendTo(req.client, resp.WireSize(), resp);
 }
 
 // ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ class RaftNode : public NodeContext {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attaches the cluster flight recorder (nullptr = off, the default).
-  /// Role/term transitions, elections and their mitigations, decoded RPC
+  /// Role/term transitions, elections and their mitigations, RPC
   /// send/recv, window transitions, commit/apply advances, disk
   /// write/fsync activity and crash/recovery milestones are recorded into
   /// the node's journal ring.
@@ -169,7 +169,8 @@ class RaftNode : public NodeContext {
   CoreState& core() override { return core_; }
   const CoreState& core() const override { return core_; }
   storage::RaftLog& log() override { return log_; }
-  void SendTo(net::NodeId to, size_t bytes, net::PayloadRef payload) override;
+  void Transmit(net::NodeId to, size_t bytes, obs::JournalRpc rpc,
+                net::PayloadRef payload) override;
   void PersistEntry(const storage::LogEntry& entry) override;
   void PersistTruncate(storage::LogIndex from_index) override;
   void PersistHardState() override;
@@ -202,14 +203,19 @@ class RaftNode : public NodeContext {
  private:
   // ---- Message plumbing ----
   void HandleMessage(net::Message&& msg);
+  /// Journals the receipt of `msg`, whose payload is `rpc`.
+  template <typename Msg>
+  void JournalRecv(const net::Message& msg, const Msg& rpc) {
+    if (journal_ == nullptr) return;
+    journal_->Record(obs::JournalEventKind::kRpcRecv, id_, msg.from,
+                     static_cast<int64_t>(rpc.rpc()),
+                     static_cast<int64_t>(msg.bytes));
+  }
 
   // ---- Membership ----
   /// Activates the membership engine from options' initial_config (no-op
   /// when unset — the dormant fixed-roster default — or already active).
   void BootstrapMembership();
-
-  // ---- Reads ----
-  void HandleReadRequest(ReadRequest req);
 
   // ---- Durability (simulated disk) ----
   /// Folds the simulated disk's durable record stream back into memory and

@@ -52,7 +52,7 @@ struct Chunk {
     return encoded_timestamps.size() + encoded_values.size();
   }
 
-  /// Decodes all points back (tests, follower reads).
+  /// Decodes all points back (queries and tests).
   Result<std::vector<Point>> Decode() const;
 };
 

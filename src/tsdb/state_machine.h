@@ -32,7 +32,7 @@ class StateMachine {
   virtual uint64_t applied_entries() const = 0;
   virtual std::string name() const = 0;
 
-  /// Number of points stored for a series (follower-read support).
+  /// Number of points stored for a series (replica agreement checks).
   /// State machines without series semantics return 0.
   virtual uint64_t PointCount(uint64_t series_id) const {
     (void)series_id;

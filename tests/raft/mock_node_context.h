@@ -77,7 +77,8 @@ class MockNodeContext : public raft::NodeContext {
   const raft::CoreState& core() const override { return core_; }
   storage::RaftLog& log() override { return log_; }
   const storage::RaftLog& log() const override { return log_; }
-  void SendTo(net::NodeId to, size_t bytes, net::PayloadRef payload) override {
+  void Transmit(net::NodeId to, size_t bytes, obs::JournalRpc,
+                net::PayloadRef payload) override {
     sent.push_back(SentMessage{to, bytes, std::move(payload)});
   }
   raft::MembershipEngine* membership() override { return membership_.get(); }

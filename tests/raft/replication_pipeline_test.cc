@@ -24,7 +24,8 @@ class NetworkedContext : public MockNodeContext {
     }
   }
 
-  void SendTo(net::NodeId to, size_t bytes, net::PayloadRef payload) override {
+  void Transmit(net::NodeId to, size_t bytes, obs::JournalRpc,
+                net::PayloadRef payload) override {
     network_->Send(id(), to, bytes, std::move(payload));
   }
 
