@@ -1,6 +1,6 @@
 // Sweep-scheduler scaling bench: the same fixed chaos-cell grid (2
 // protocols x 16 seeds of the light sweep scenario) pushed through the
-// work-stealing scheduler at worker counts {1, 2, 4, 8, 16}, reporting
+// sweep scheduler at worker counts {1, 2, 4, 8, 16}, reporting
 // the *aggregate* simulator event rate — total events across all cells
 // divided by the sweep's wall time. The simulated work is byte-identical
 // at every worker count (the bench hard-fails if any merged report hash

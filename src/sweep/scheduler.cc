@@ -1,11 +1,10 @@
 #include "sweep/scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <exception>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -38,16 +37,6 @@ SweepResult RunOne(const SweepTask& task, size_t index, uint64_t sweep_seed,
   result.wall_ms = WallMs(start);
   return result;
 }
-
-/// One worker's task deque. The owner pops indices from the front (so a
-/// worker walks its own deal in index order); thieves take from the back,
-/// where the owner will arrive last — the classic work-stealing split,
-/// with a plain mutex per deque because tasks here are whole simulations
-/// (milliseconds to seconds each) and queue traffic is noise.
-struct Shard {
-  std::mutex mu;
-  std::deque<size_t> q;
-};
 
 }  // namespace
 
@@ -84,50 +73,13 @@ SweepReport SweepScheduler::Run(const std::vector<SweepTask>& tasks) {
       results[i] = RunOne(tasks[i], i, options_.sweep_seed, /*worker=*/0);
     }
   } else {
-    std::vector<Shard> shards(static_cast<size_t>(workers));
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      shards[i % static_cast<size_t>(workers)].q.push_back(i);
-    }
-
+    // One shared next-index: each worker claims the lowest unclaimed task.
+    // Tasks are whole simulations (milliseconds to seconds each), so one
+    // atomic increment per task balances load as well as any deque split.
+    std::atomic<size_t> next{0};
     auto worker_loop = [&](int w) {
-      Shard& own = shards[static_cast<size_t>(w)];
-      for (;;) {
-        size_t index = 0;
-        bool found = false;
-        {
-          std::lock_guard<std::mutex> lock(own.mu);
-          if (!own.q.empty()) {
-            index = own.q.front();
-            own.q.pop_front();
-            found = true;
-          }
-        }
-        if (!found) {
-          // Steal from the back of the fullest other deque. No task is
-          // ever added after start, so one empty-handed full scan means
-          // this worker is done.
-          int victim = -1;
-          size_t best = 0;
-          for (int v = 0; v < workers; ++v) {
-            if (v == w) continue;
-            std::lock_guard<std::mutex> lock(shards[static_cast<size_t>(v)].mu);
-            const size_t depth = shards[static_cast<size_t>(v)].q.size();
-            if (depth > best) {
-              best = depth;
-              victim = v;
-            }
-          }
-          if (victim >= 0) {
-            Shard& s = shards[static_cast<size_t>(victim)];
-            std::lock_guard<std::mutex> lock(s.mu);
-            if (!s.q.empty()) {
-              index = s.q.back();
-              s.q.pop_back();
-              found = true;
-            }
-          }
-        }
-        if (!found) return;
+      for (size_t index = next.fetch_add(1); index < tasks.size();
+           index = next.fetch_add(1)) {
         // Each task writes only its own pre-sized slot: no result lock.
         results[index] = RunOne(tasks[index], index, options_.sweep_seed, w);
       }

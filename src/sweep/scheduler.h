@@ -28,11 +28,10 @@ int ResolveWorkers(int requested);
 /// parallel jobs to nproc and the serial oracle job to 1 through this.
 int WorkersFromEnv(int fallback);
 
-/// Work-stealing multi-core sweep scheduler. Tasks are dealt round-robin
-/// onto per-worker deques; each worker drains its own deque from the
-/// front (preserving index order locally) and, when empty, steals from
-/// the back of the busiest other deque. Every task runs on exactly one
-/// worker with a private seed stream, so the merged report — ordered by
+/// Multi-core sweep scheduler. Workers share one atomic next-index and
+/// each claims the lowest unclaimed task until none is left, so a worker
+/// that draws short tasks simply claims more of them. Every task runs on
+/// exactly one worker with a private seed stream, so the merged report — ordered by
 /// task index, hashed by MergeResults — is byte-identical for any worker
 /// count, and workers=1 reduces to a plain serial loop on the calling
 /// thread.
