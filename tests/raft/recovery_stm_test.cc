@@ -1,8 +1,9 @@
 // RecoveryStm in isolation on the mock context: the per-round throttle,
 // the deterministic capped backoff while a learner stalls, the
 // snapshot-install stage (entered when the needed tail was compacted,
-// resumed without double-sending), and the promotion threshold on the
-// learner's contiguous durable prefix.
+// resumed without double-sending), the promotion threshold on the
+// learner's contiguous durable prefix, and the hand-back to ordinary
+// fan-out once a round reaches the log head.
 
 #include <gtest/gtest.h>
 
@@ -200,6 +201,29 @@ TEST(RecoveryStmTest, TrackedLearnerGetsNoFanOutCopies) {
   f.ctx.FillLog(1, /*term=*/1);
   f.ctx.pipeline()->ReplicateEntry(f.ctx.log().AtUnchecked(102));
   EXPECT_TRUE(sent_to(kLearner, 102));
+}
+
+TEST(RecoveryStmTest, LearnerRejoinsFanOutOnceARoundReachesTheHead) {
+  sim::Simulator sim(7);
+  RaftOptions options = RecoveryOptions();
+  options.membership.promotion_lag = 0;  // Never eligible short of the head.
+  Fixture f(&sim, /*log_entries=*/100, options);
+  f.ctx.recovery()->StartRecovery(kLearner);
+
+  // A round that stops short of the head keeps the learner off fan-out.
+  f.ctx.recovery()->OnProgress(kLearner, 90);
+  RunUntilRounds(&sim, &f, f.ctx.recovery()->RoundsFor(kLearner) + 1);
+  EXPECT_TRUE(f.ctx.recovery()->FeedsInOrder(kLearner));
+
+  // This round reads 98..100, the head: later entries are contiguous with
+  // what the learner holds, so fan-out carries them.
+  f.ctx.recovery()->OnProgress(kLearner, 97);
+  RunUntilRounds(&sim, &f, f.ctx.recovery()->RoundsFor(kLearner) + 1);
+  EXPECT_TRUE(f.ctx.recovery()->Tracking(kLearner));
+  EXPECT_FALSE(f.ctx.recovery()->FeedsInOrder(kLearner));
+  f.ctx.FillLog(1, /*term=*/1);
+  f.ctx.pipeline()->ReplicateEntry(f.ctx.log().AtUnchecked(101));
+  EXPECT_EQ(f.MaxIndexSent(), 101);
 }
 
 TEST(RecoveryStmTest, RecoveryIsLeaderOnlyState) {
