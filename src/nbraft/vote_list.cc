@@ -1,5 +1,7 @@
 #include "nbraft/vote_list.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace nbraft::raft {
@@ -12,22 +14,14 @@ void VoteList::AddTuple(storage::LogIndex index, storage::Term term,
   if (leader != net::kInvalidNode) t.strong.insert(leader);
 }
 
-const VoteList::Tuple* VoteList::Find(storage::LogIndex index) const {
-  const auto it = tuples_.find(index);
-  return it == tuples_.end() ? nullptr : &it->second;
-}
-
 bool VoteList::AddWeak(storage::LogIndex index, net::NodeId node) {
-  const auto it = tuples_.find(index);
-  if (it == tuples_.end()) return false;  // Already committed or cleaned.
-  Tuple& t = it->second;
-  t.weak.insert(node);
-  if (t.weak_notified) return false;
+  Tuple* t = tuples_.Find(index);
+  if (t == nullptr) return false;  // Already committed or cleaned.
+  t->weak.insert(node);
+  if (t->weak_notified) return false;
   // Weak ∪ strong: a node may appear in both after its window flushed.
-  std::set<net::NodeId> combined = t.strong;
-  combined.insert(t.weak.begin(), t.weak.end());
-  if (static_cast<int>(combined.size()) >= t.required) {
-    t.weak_notified = true;
+  if (static_cast<int>(t->strong.UnionSize(t->weak)) >= t->required) {
+    t->weak_notified = true;
     return true;
   }
   return false;
@@ -37,11 +31,16 @@ std::vector<storage::LogIndex> VoteList::AddStrongUpTo(
     storage::LogIndex last_index, net::NodeId node,
     storage::Term current_term) {
   storage::LogIndex commit_up_to = -1;
-  for (auto& [index, tuple] : tuples_) {
-    if (index > last_index) break;
-    tuple.strong.insert(node);
-    if (tuple.term == current_term && StrongSatisfied(tuple)) {
-      commit_up_to = index;
+  if (!tuples_.empty()) {
+    const storage::LogIndex end = std::min(last_index, tuples_.back_index());
+    for (storage::LogIndex index = tuples_.front_index(); index <= end;
+         ++index) {
+      Tuple* tuple = tuples_.Find(index);
+      if (tuple == nullptr) continue;
+      tuple->strong.insert(node);
+      if (tuple->term == current_term && StrongSatisfied(*tuple)) {
+        commit_up_to = index;
+      }
     }
   }
   return PopCommittable(commit_up_to, current_term);
@@ -49,11 +48,10 @@ std::vector<storage::LogIndex> VoteList::AddStrongUpTo(
 
 std::vector<storage::LogIndex> VoteList::AddStrongAt(
     storage::LogIndex index, net::NodeId node, storage::Term current_term) {
-  const auto it = tuples_.find(index);
-  if (it == tuples_.end()) return {};  // Already committed.
-  Tuple& tuple = it->second;
-  tuple.strong.insert(node);
-  if (tuple.term != current_term || !StrongSatisfied(tuple)) return {};
+  Tuple* tuple = tuples_.Find(index);
+  if (tuple == nullptr) return {};  // Already committed.
+  tuple->strong.insert(node);
+  if (tuple->term != current_term || !StrongSatisfied(*tuple)) return {};
   return PopCommittable(index, current_term);
 }
 
@@ -66,30 +64,33 @@ std::vector<storage::LogIndex> VoteList::PopCommittable(
   // holders than the plain entry that follows it.
   std::vector<storage::LogIndex> committed;
   while (!tuples_.empty()) {
-    const auto& [index, tuple] = *tuples_.begin();
+    const storage::LogIndex index = tuples_.front_index();
+    const Tuple& tuple = *tuples_.Find(index);
     if (index > up_to) break;
     if (tuple.term == current_term && !StrongSatisfied(tuple)) {
       break;
     }
     committed.push_back(index);
-    tuples_.erase(tuples_.begin());
+    tuples_.PopFront();
   }
   return committed;
 }
 
 void VoteList::ForEach(
     const std::function<void(storage::LogIndex, Tuple*)>& fn) {
-  for (auto& [index, tuple] : tuples_) fn(index, &tuple);
+  tuples_.ForEach([&](storage::LogIndex index, Tuple& tuple) {
+    fn(index, &tuple);
+  });
 }
 
 std::vector<storage::LogIndex> VoteList::CollectCommittable(
     storage::Term current_term) {
   storage::LogIndex commit_up_to = -1;
-  for (const auto& [index, tuple] : tuples_) {
+  tuples_.ForEach([&](storage::LogIndex index, const Tuple& tuple) {
     if (tuple.term == current_term && StrongSatisfied(tuple)) {
       commit_up_to = index;
     }
-  }
+  });
   return PopCommittable(commit_up_to, current_term);
 }
 

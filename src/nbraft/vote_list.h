@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
+#include "common/index_ring.h"
 #include "net/network.h"
+#include "net/node_set.h"
 #include "storage/log_entry.h"
 
 namespace nbraft::raft {
@@ -16,6 +16,10 @@ namespace nbraft::raft {
 /// ordered list of (logIndex, Weakly Accepted Nodes, Strongly Accepted
 /// Nodes) tuples. The original Raft uses the same structure with only the
 /// strong sets, so one VoteList serves every protocol variant.
+///
+/// Tuples sit in an IndexRing keyed by log index: the list is positional,
+/// commits pop its front, and the leader appends at its back, so no tuple
+/// costs an allocation once the ring has grown to the in-flight span.
 class VoteList {
  public:
   struct Tuple {
@@ -23,8 +27,8 @@ class VoteList {
     /// Acceptances needed to commit this entry: the majority quorum for
     /// plain entries, k + F for CRaft fragments.
     int required = 1;
-    std::set<net::NodeId> weak;
-    std::set<net::NodeId> strong;
+    net::NodeSet weak;
+    net::NodeSet strong;
     /// Whether the WEAK_ACCEPT response has already been sent to the client
     /// (sent at most once per entry, when weak ∪ strong first reaches the
     /// required count).
@@ -39,9 +43,11 @@ class VoteList {
                 net::NodeId leader, int required);
 
   bool Contains(storage::LogIndex index) const {
-    return tuples_.count(index) > 0;
+    return tuples_.Contains(index);
   }
-  const Tuple* Find(storage::LogIndex index) const;
+  const Tuple* Find(storage::LogIndex index) const {
+    return tuples_.Find(index);
+  }
 
   /// Records a WEAK_ACCEPT from `node` for `index` (Sec. III-B2). Returns
   /// true when this made weak ∪ strong reach the tuple's required count for
@@ -81,12 +87,12 @@ class VoteList {
       storage::Term current_term);
 
   /// Leader-change cleanup (Sec. III-B3a).
-  void Clear() { tuples_.clear(); }
+  void Clear() { tuples_.Clear(); }
 
   /// Removes the front tuple without committing it (used while draining
   /// the list to notify clients on leader change).
   void RemoveFront() {
-    if (!tuples_.empty()) tuples_.erase(tuples_.begin());
+    if (!tuples_.empty()) tuples_.PopFront();
   }
 
   size_t size() const { return tuples_.size(); }
@@ -94,7 +100,7 @@ class VoteList {
 
   /// Smallest tracked index, or -1 when empty.
   storage::LogIndex FrontIndex() const {
-    return tuples_.empty() ? -1 : tuples_.begin()->first;
+    return tuples_.empty() ? -1 : tuples_.front_index();
   }
 
   /// Overrides the count-based commit rule with a set-based one (dynamic
@@ -117,7 +123,7 @@ class VoteList {
   std::vector<storage::LogIndex> PopCommittable(storage::LogIndex up_to,
                                                 storage::Term current_term);
 
-  std::map<storage::LogIndex, Tuple> tuples_;
+  IndexRing<Tuple> tuples_;
   CommitCheck commit_check_;
 };
 

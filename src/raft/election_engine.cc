@@ -11,7 +11,7 @@
 
 namespace nbraft::raft {
 
-bool ElectionEngine::VoteQuorumReached(const std::set<net::NodeId>& votes) {
+bool ElectionEngine::VoteQuorumReached(const net::NodeSet& votes) {
   MembershipEngine* m = ctx_->membership();
   if (m != nullptr && m->active()) return m->QuorumSatisfied(votes);
   return static_cast<int>(votes.size()) >= ctx_->quorum();

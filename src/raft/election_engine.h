@@ -2,9 +2,9 @@
 #define NBRAFT_RAFT_ELECTION_ENGINE_H_
 
 #include <functional>
-#include <set>
 #include <vector>
 
+#include "net/node_set.h"
 #include "raft/messages.h"
 #include "raft/node_context.h"
 
@@ -117,7 +117,7 @@ class ElectionEngine {
   /// joint configs need majorities of both voter generations (votes from
   /// removed nodes and learners are filtered out), fixed rosters keep the
   /// plain count >= quorum rule.
-  bool VoteQuorumReached(const std::set<net::NodeId>& votes);
+  bool VoteQuorumReached(const net::NodeSet& votes);
   /// True while this node holds no vote in the active configuration
   /// (learner, or removed): it neither campaigns nor arms election timers.
   bool IsPassive();
@@ -133,7 +133,7 @@ class ElectionEngine {
   void SendLeaseReject(const RequestVoteRequest& req);
 
   NodeContext* ctx_;
-  std::set<net::NodeId> votes_received_;
+  net::NodeSet votes_received_;
   sim::EventId election_timer_ = sim::kInvalidEventId;
   SimTime election_deadline_ = 0;
   std::vector<LeaderObserver> leader_observers_;
@@ -143,7 +143,7 @@ class ElectionEngine {
   // follower to the rest of the protocol).
   bool prevote_in_progress_ = false;
   storage::Term prevote_term_ = 0;  ///< Prospective term of the canvass.
-  std::set<net::NodeId> prevotes_received_;
+  net::NodeSet prevotes_received_;
 
   // Leader lease: when this node last heard from a live leader.
   SimTime last_leader_contact_ = 0;

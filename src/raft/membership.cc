@@ -24,7 +24,7 @@ void Erase(std::vector<net::NodeId>* set, net::NodeId id) {
 /// Majority of `set` present in `acks`; vacuously true for an empty set
 /// (only reachable through a decoded-then-rejected configuration).
 bool MajorityOf(const std::vector<net::NodeId>& set,
-                const std::set<net::NodeId>& acks) {
+                const net::NodeSet& acks) {
   if (set.empty()) return true;
   int have = 0;
   for (const net::NodeId id : set) {
@@ -141,7 +141,7 @@ bool MembershipEngine::SelfIsVoter() const {
 }
 
 bool MembershipEngine::QuorumSatisfied(
-    const std::set<net::NodeId>& acks) const {
+    const net::NodeSet& acks) const {
   return MajorityOf(config_.voters, acks) &&
          (!config_.joint() || MajorityOf(config_.new_voters, acks));
 }

@@ -1,13 +1,13 @@
 #ifndef NBRAFT_RAFT_MEMBERSHIP_H_
 #define NBRAFT_RAFT_MEMBERSHIP_H_
 
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "net/network.h"
+#include "net/node_set.h"
 #include "storage/log_entry.h"
 
 namespace nbraft::raft {
@@ -123,7 +123,7 @@ class MembershipEngine {
   /// True when `acks` satisfies a majority of voters AND, during the
   /// joint window, a majority of new_voters. Non-voter ids in `acks`
   /// (learners, removed nodes) never count.
-  bool QuorumSatisfied(const std::set<net::NodeId>& acks) const;
+  bool QuorumSatisfied(const net::NodeSet& acks) const;
   /// Count-based quorum for the paths that only track a tally (vote-list
   /// `required`, CheckQuorum): the larger generation's majority during
   /// the joint window.

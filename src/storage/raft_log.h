@@ -44,6 +44,12 @@ class RaftLog {
   /// index. Fails with OutOfRange otherwise.
   Result<Term> TermAt(LogIndex index) const;
 
+  /// Whether `index` is physically present (neither compacted nor past the
+  /// end): exactly when At succeeds and AtUnchecked is safe.
+  bool Contains(LogIndex index) const {
+    return index >= first_index_ && index <= LastIndex();
+  }
+
   /// Entry lookup; fails with OutOfRange for compacted or future indices.
   Result<LogEntry> At(LogIndex index) const;
   const LogEntry& AtUnchecked(LogIndex index) const;
