@@ -1,9 +1,12 @@
 #ifndef NBRAFT_NBRAFT_SLIDING_WINDOW_H_
 #define NBRAFT_NBRAFT_SLIDING_WINDOW_H_
 
+#include <limits>
 #include <map>
 #include <vector>
 
+#include "common/index_ring.h"
+#include "common/sim_time.h"
 #include "storage/log_entry.h"
 
 namespace nbraft::raft {
@@ -19,7 +22,11 @@ namespace nbraft::raft {
 /// with the log.
 ///
 /// The class is pure data structure (no I/O, no clock) so the unit tests can
-/// replay the paper's Figs. 7, 8 and 9 literally.
+/// replay the paper's Figs. 7, 8 and 9 literally. Each cached entry may
+/// carry the time it was received, which comes back when it flushes.
+///
+/// The window proper is an IndexRing over (log end, log end + capacity],
+/// so caching and flushing allocate nothing once the ring has grown to w.
 class SlidingWindow {
  public:
   /// Observability hook: the tracing layer subscribes to the window's
@@ -35,6 +42,15 @@ class SlidingWindow {
                          size_t occupancy) = 0;
   };
 
+  /// Receive time of an entry cached without one.
+  static constexpr SimTime kNoReceiveTime = -1;
+
+  /// A flushed entry and the receive time it was cached with.
+  struct Flushed {
+    storage::LogEntry entry;
+    SimTime received_at = kNoReceiveTime;
+  };
+
   /// `capacity` is the paper's window size w; 0 degenerates to original
   /// Raft (nothing can ever be cached).
   explicit SlidingWindow(int capacity);
@@ -43,12 +59,12 @@ class SlidingWindow {
   void set_observer(Observer* observer) { observer_ = observer; }
 
   int capacity() const { return capacity_; }
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  size_t size() const { return ahead_.size() + passed_.size(); }
+  bool empty() const { return size() == 0; }
 
   /// True if an index is currently cached.
   bool Contains(storage::LogIndex index) const {
-    return entries_.count(index) > 0;
+    return Find(index) != nullptr;
   }
 
   /// Cached entry at `index`; requires Contains(index).
@@ -63,13 +79,27 @@ class SlidingWindow {
   ///     entry (successor.prev_term != entry.term) is removed together with
   ///     every entry after it.
   /// Re-inserting an index replaces the old entry (after the same checks).
-  void Insert(const storage::LogEntry& entry);
+  /// `received_at` is kept with the entry until it flushes.
+  void Insert(const storage::LogEntry& entry,
+              SimTime received_at = kNoReceiveTime);
 
   /// Pops the continuous prefix starting at `last_index + 1` whose
   /// prev_term chain extends (last_index, last_term); the caller appends
   /// the returned entries to the log (the paper's "flush", Fig. 9).
+  ///
+  /// `last_index` is the log end: an entry cached at or below it was
+  /// passed by a different entry the log appended at its index, so it can
+  /// no longer flush there and forgets its receive time. It stays cached
+  /// (and counted) until evicted, and flushes again only if a truncation
+  /// moves the log end back below it.
   std::vector<storage::LogEntry> TakeFlushablePrefix(
       storage::LogIndex last_index, storage::Term last_term);
+  /// The same into a caller-owned buffer (cleared first), with each
+  /// entry's receive time: a caller flushing on every append reuses one
+  /// allocation.
+  void TakeFlushablePrefix(storage::LogIndex last_index,
+                           storage::Term last_term,
+                           std::vector<Flushed>* out);
 
   /// Reacts to the appended log changing shape after a truncation /
   /// replacement (Sec. III-A1, Fig. 7): the window "moves leftwards".
@@ -80,14 +110,37 @@ class SlidingWindow {
   void OnLogReshaped(storage::LogIndex new_last, storage::Term min_term);
 
   /// Removes everything (leader change cleanup).
-  void Clear() { entries_.clear(); }
+  void Clear();
 
   /// Cached indices in ascending order (for tests and introspection).
   std::vector<storage::LogIndex> Indices() const;
 
  private:
+  using Slot = Flushed;
+
+  Slot* Find(storage::LogIndex index);
+  const Slot* Find(storage::LogIndex index) const {
+    return const_cast<SlidingWindow*>(this)->Find(index);
+  }
+  void Erase(storage::LogIndex index);
+  /// Moves the ahead_/passed_ boundary to the log end `last_index`.
+  void MoveFloor(storage::LogIndex last_index);
+  /// Pops the flushable prefix above `last_index`, handing each slot to
+  /// `emit` in order; returns the count.
+  template <typename Emit>
+  size_t FlushPrefix(storage::LogIndex last_index, storage::Term last_term,
+                     Emit&& emit);
+
   int capacity_;
-  std::map<storage::LogIndex, storage::LogEntry> entries_;
+  /// The log end the window last heard of (TakeFlushablePrefix,
+  /// OnLogReshaped); lowest possible value until the first.
+  storage::LogIndex floor_ = std::numeric_limits<storage::LogIndex>::min();
+  /// Cached entries above floor_: the window proper.
+  IndexRing<Slot> ahead_;
+  /// Cached entries at or below floor_, which the log has passed. Rare
+  /// (a leader change while a stale chain is cached), so a map: in the
+  /// ring they would stretch its span as the log moves on.
+  std::map<storage::LogIndex, Slot> passed_;
   Observer* observer_ = nullptr;
 };
 
