@@ -213,7 +213,8 @@ Result<std::vector<double>> DecodeValues(std::string_view data, size_t count) {
   return out;
 }
 
-Chunk BuildChunk(uint64_t series_id, const std::vector<Point>& points) {
+Chunk BuildChunk(uint64_t series_id, const std::vector<Point>& points,
+                 ChunkScratch* scratch) {
   Chunk chunk;
   chunk.series_id = series_id;
   chunk.point_count = points.size();
@@ -221,17 +222,25 @@ Chunk BuildChunk(uint64_t series_id, const std::vector<Point>& points) {
     chunk.min_timestamp = points.front().timestamp;
     chunk.max_timestamp = points.back().timestamp;
   }
-  std::vector<int64_t> timestamps;
-  std::vector<double> values;
-  timestamps.reserve(points.size());
-  values.reserve(points.size());
+  scratch->timestamps.clear();
+  scratch->values.clear();
   for (const Point& p : points) {
-    timestamps.push_back(p.timestamp);
-    values.push_back(p.value);
+    scratch->timestamps.push_back(p.timestamp);
+    scratch->values.push_back(p.value);
   }
-  EncodeTimestamps(timestamps, &chunk.encoded_timestamps);
-  EncodeValues(values, &chunk.encoded_values);
+  // Copy-constructing allocates exactly the encoded size.
+  scratch->encoded.clear();
+  EncodeTimestamps(scratch->timestamps, &scratch->encoded);
+  chunk.encoded_timestamps = std::string(scratch->encoded);
+  scratch->encoded.clear();
+  EncodeValues(scratch->values, &scratch->encoded);
+  chunk.encoded_values = std::string(scratch->encoded);
   return chunk;
+}
+
+Chunk BuildChunk(uint64_t series_id, const std::vector<Point>& points) {
+  ChunkScratch scratch;
+  return BuildChunk(series_id, points, &scratch);
 }
 
 Result<std::vector<Point>> Chunk::Decode() const {

@@ -56,7 +56,19 @@ struct Chunk {
   Result<std::vector<Point>> Decode() const;
 };
 
+/// Reusable buffers for BuildChunk. Encoding into them and copying the
+/// result out sizes each chunk's strings exactly, where encoding straight
+/// into the chunk would keep the string's doubling slack in every
+/// retained chunk.
+struct ChunkScratch {
+  std::vector<int64_t> timestamps;
+  std::vector<double> values;
+  std::string encoded;
+};
+
 /// Builds a chunk from points (which must be timestamp-ordered).
+Chunk BuildChunk(uint64_t series_id, const std::vector<Point>& points,
+                 ChunkScratch* scratch);
 Chunk BuildChunk(uint64_t series_id, const std::vector<Point>& points);
 
 }  // namespace nbraft::tsdb

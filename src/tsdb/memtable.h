@@ -54,6 +54,13 @@ class Memtable {
   std::unordered_map<uint64_t, std::vector<Point>> series_;
   size_t point_count_ = 0;
   size_t buffered_series_ = 0;
+
+  // FlushAll's buffers, reused across flushes: the (timestamp, arrival
+  // position) sort keys of an out-of-order run, the run in sorted order,
+  // and the chunk encoder's scratch.
+  std::vector<std::pair<int64_t, uint32_t>> sort_keys_;
+  std::vector<Point> sorted_;
+  ChunkScratch scratch_;
 };
 
 }  // namespace nbraft::tsdb
