@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace nbraft::raft {
 namespace {
 
@@ -170,6 +173,98 @@ TEST(SlidingWindowTest, SuccessorChainPrunedOnlyFromBreakPoint) {
   EXPECT_FALSE(w.Contains(12));
   EXPECT_FALSE(w.Contains(13));
   EXPECT_FALSE(w.Contains(15));
+}
+
+TEST(SlidingWindowTest, RingWrapsAroundAtCapacity) {
+  // A follower with w = 4: each round the head entry arrives last, after
+  // the three behind it were cached, so the ring's live span keeps moving
+  // through the same four slots.
+  SlidingWindow w(4);
+  storage::LogIndex last = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (storage::LogIndex i = last + 4; i >= last + 2; --i) {
+      w.Insert(MakeEntry(i, 1, 1), /*received_at=*/i * 10);
+    }
+    EXPECT_EQ(w.size(), 3u);
+    EXPECT_EQ(w.Indices(), (std::vector<storage::LogIndex>{
+                               last + 2, last + 3, last + 4}));
+    ++last;  // The head arrives and is appended directly.
+    std::vector<SlidingWindow::Flushed> flushed;
+    w.TakeFlushablePrefix(last, 1, &flushed);
+    ASSERT_EQ(flushed.size(), 3u);
+    for (size_t k = 0; k < flushed.size(); ++k) {
+      const storage::LogIndex index = last + 1 + static_cast<int64_t>(k);
+      EXPECT_EQ(flushed[k].entry.index, index);
+      EXPECT_EQ(flushed[k].received_at, index * 10);
+    }
+    last += 3;
+    EXPECT_TRUE(w.empty());
+  }
+}
+
+TEST(SlidingWindowTest, ReceiveTimeComesBackWithTheFlushedEntry) {
+  SlidingWindow w(6);
+  w.Insert(MakeEntry(5, 2, 2), /*received_at=*/700);
+  w.Insert(MakeEntry(6, 2, 2));  // No receive time.
+  std::vector<SlidingWindow::Flushed> flushed;
+  w.TakeFlushablePrefix(4, 2, &flushed);
+  ASSERT_EQ(flushed.size(), 2u);
+  EXPECT_EQ(flushed[0].received_at, 700);
+  EXPECT_EQ(flushed[1].received_at, SlidingWindow::kNoReceiveTime);
+}
+
+// The log appends a different leader's entry at a cached index: the cached
+// entry is passed, stays cached (and counted) but cannot flush, and loses
+// its receive time. A truncation back below it makes it flushable again.
+TEST(SlidingWindowTest, PassedEntryWaitsForATruncation) {
+  SlidingWindow w(6);
+  w.Insert(MakeEntry(5, 2, 2), /*received_at=*/50);
+  w.Insert(MakeEntry(6, 2, 2), /*received_at=*/60);
+  // A new leader's (5, 3) was appended directly: 5 and 6 are passed or
+  // unchained; nothing flushes.
+  EXPECT_TRUE(w.TakeFlushablePrefix(5, 3).empty());
+  EXPECT_TRUE(w.Contains(5));
+  EXPECT_TRUE(w.Contains(6));
+  EXPECT_EQ(w.size(), 2u);
+  EXPECT_EQ(w.Indices(), (std::vector<storage::LogIndex>{5, 6}));
+  // The log moves on past both.
+  EXPECT_TRUE(w.TakeFlushablePrefix(9, 3).empty());
+  EXPECT_EQ(w.size(), 2u);
+  // A truncation to 4 brings them back ahead of the log.
+  w.OnLogReshaped(/*new_last=*/4, /*min_term=*/2);
+  std::vector<SlidingWindow::Flushed> flushed;
+  w.TakeFlushablePrefix(4, 2, &flushed);
+  ASSERT_EQ(flushed.size(), 2u);
+  EXPECT_EQ(flushed[0].entry.index, 5);
+  EXPECT_EQ(flushed[0].received_at, SlidingWindow::kNoReceiveTime);
+  EXPECT_EQ(flushed[1].entry.index, 6);
+  EXPECT_TRUE(w.empty());
+}
+
+TEST(SlidingWindowTest, ReshapeEvictsPassedAndCachedEntriesInOrder) {
+  struct Recorder : SlidingWindow::Observer {
+    void OnInsert(storage::LogIndex, size_t) override {}
+    void OnEvict(storage::LogIndex index, size_t occupancy) override {
+      evicted.emplace_back(index, occupancy);
+    }
+    void OnFlush(storage::LogIndex, size_t, size_t) override {}
+    std::vector<std::pair<storage::LogIndex, size_t>> evicted;
+  };
+  SlidingWindow w(6);
+  Recorder recorder;
+  w.set_observer(&recorder);
+  w.Insert(MakeEntry(3, 1, 1));
+  w.Insert(MakeEntry(8, 1, 1));
+  w.Insert(MakeEntry(9, 2, 1));
+  w.Insert(MakeEntry(12, 2, 2));
+  EXPECT_TRUE(w.TakeFlushablePrefix(4, 2).empty());  // 3 is passed.
+  // Truncation to 5 with min term 2: 3 (below), 8 (old term) go; 12 is
+  // beyond 5 + 6 = 11 and goes too; 9 stays.
+  w.OnLogReshaped(5, 2);
+  EXPECT_EQ(recorder.evicted,
+            (std::vector<std::pair<storage::LogIndex, size_t>>{
+                {3, 3}, {8, 2}, {12, 1}}));
+  EXPECT_EQ(w.Indices(), (std::vector<storage::LogIndex>{9}));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace nbraft::raft {
 namespace {
 
@@ -201,6 +204,129 @@ TEST(VoteListTest, StrongForFutureIndexIgnored) {
   vl.AddTuple(10, 1, 0, kQuorum3);
   EXPECT_TRUE(vl.AddStrongUpTo(5, 1, 1).empty());
   EXPECT_EQ(vl.Find(10)->strong.size(), 1u);
+}
+
+TEST(VoteListTest, AddTupleBelowTheFrontBecomesTheFront) {
+  VoteList vl;
+  vl.AddTuple(10, 1, kLeader, kQuorum3);
+  vl.AddTuple(11, 1, kLeader, kQuorum3);
+  vl.AddTuple(5, 1, kLeader, kQuorum3);
+  EXPECT_EQ(vl.FrontIndex(), 5);
+  EXPECT_EQ(vl.size(), 3u);
+  // One follower's strong accept through 11 commits 5, then 10 and 11
+  // across the hole.
+  EXPECT_EQ(vl.AddStrongUpTo(11, 1, 1),
+            (std::vector<storage::LogIndex>{5, 10, 11}));
+  EXPECT_TRUE(vl.empty());
+}
+
+TEST(VoteListTest, HolesAreSkippedByStrongAcceptsAndCommits) {
+  VoteList vl;
+  for (const storage::LogIndex i : {1, 2, 4, 7}) {
+    vl.AddTuple(i, 1, kLeader, kQuorum3);
+  }
+  EXPECT_FALSE(vl.Contains(3));
+  EXPECT_EQ(vl.Find(3), nullptr);
+  EXPECT_FALSE(vl.AddWeak(3, 2)) << "a hole has no tuple to vote on";
+  EXPECT_EQ(vl.AddStrongUpTo(5, 1, 1),
+            (std::vector<storage::LogIndex>{1, 2, 4}));
+  EXPECT_EQ(vl.FrontIndex(), 7);
+  EXPECT_EQ(vl.size(), 1u);
+}
+
+TEST(VoteListTest, RemoveFrontSkipsHoles) {
+  VoteList vl;
+  for (const storage::LogIndex i : {3, 6, 20}) {
+    vl.AddTuple(i, 1, kLeader, kQuorum3);
+  }
+  vl.RemoveFront();
+  EXPECT_EQ(vl.FrontIndex(), 6);
+  vl.RemoveFront();
+  EXPECT_EQ(vl.FrontIndex(), 20);
+  EXPECT_EQ(vl.size(), 1u);
+  vl.RemoveFront();
+  EXPECT_TRUE(vl.empty());
+}
+
+TEST(VoteListTest, ClearThenALowerIndexStartsAfresh) {
+  VoteList vl;
+  for (storage::LogIndex i = 100; i <= 140; ++i) {
+    vl.AddTuple(i, 3, kLeader, kQuorum3);
+  }
+  vl.AddWeak(120, 2);
+  vl.Clear();
+  vl.AddTuple(5, 4, net::kInvalidNode, kQuorum3);
+  EXPECT_EQ(vl.FrontIndex(), 5);
+  EXPECT_EQ(vl.size(), 1u);
+  EXPECT_FALSE(vl.Contains(120));
+  const VoteList::Tuple* t = vl.Find(5);
+  ASSERT_NE(t, nullptr);
+  EXPECT_TRUE(t->strong.empty()) << "no vote survives Clear";
+  EXPECT_TRUE(t->weak.empty());
+  EXPECT_FALSE(t->weak_notified);
+}
+
+TEST(VoteListTest, ForEachStaysAscendingAsTheRingWraps) {
+  VoteList vl;
+  storage::LogIndex next = 1;
+  // Commit from the front while appending at the back, so the live span
+  // wraps around the ring many times.
+  for (int round = 0; round < 50; ++round) {
+    for (int k = 0; k < 7; ++k) vl.AddTuple(next++, 1, kLeader, kQuorum3);
+    vl.AddStrongUpTo(next - 4, 1, 1);
+  }
+  std::vector<storage::LogIndex> visited;
+  vl.ForEach([&](storage::LogIndex index, VoteList::Tuple*) {
+    visited.push_back(index);
+  });
+  EXPECT_EQ(visited, (std::vector<storage::LogIndex>{next - 3, next - 2,
+                                                     next - 1}));
+  EXPECT_EQ(vl.FrontIndex(), next - 3);
+}
+
+TEST(VoteListTest, JointConfigCommitCheckNeedsBothMajorities) {
+  VoteList vl;
+  const net::NodeSet old_voters{0, 1, 2};
+  const net::NodeSet new_voters{2, 3, 4};
+  const auto majority = [](const net::NodeSet& voters,
+                           const net::NodeSet& acks) {
+    size_t have = 0;
+    for (const net::NodeId id : voters) have += acks.count(id);
+    return have >= voters.size() / 2 + 1;
+  };
+  vl.set_commit_check([&](const VoteList::Tuple& t) {
+    return majority(old_voters, t.strong) && majority(new_voters, t.strong);
+  });
+  vl.AddTuple(1, 1, /*leader=*/0, /*required=*/1);
+  vl.AddTuple(2, 1, /*leader=*/0, /*required=*/1);
+  EXPECT_TRUE(vl.AddStrongUpTo(2, 1, 1).empty())
+      << "{0, 1} is an old majority only";
+  EXPECT_TRUE(vl.AddStrongUpTo(2, 3, 1).empty())
+      << "{0, 1, 3} holds one new voter";
+  EXPECT_EQ(vl.AddStrongUpTo(1, 4, 1), (std::vector<storage::LogIndex>{1}))
+      << "{0, 1, 3, 4} is a majority of both";
+  EXPECT_TRUE(vl.Contains(2));
+}
+
+TEST(VoteListTest, NodeSetSpillsPastItsInlineIdsAndStaysSorted) {
+  net::NodeSet set;
+  const std::vector<net::NodeId> ids = {9, 3, 11, 0, 7, 5, 12, 1, 8, 4, 10};
+  for (const net::NodeId id : ids) EXPECT_TRUE(set.insert(id));
+  EXPECT_FALSE(set.insert(7));
+  ASSERT_EQ(set.size(), ids.size());
+  std::vector<net::NodeId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::vector<net::NodeId>(set.begin(), set.end()), sorted);
+  EXPECT_EQ(set.count(12), 1u);
+  EXPECT_EQ(set.count(2), 0u);
+
+  const net::NodeSet small{2, 3, 13};
+  EXPECT_EQ(set.UnionSize(small), ids.size() + 2);
+  EXPECT_EQ(small.UnionSize(set), ids.size() + 2);
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(set.insert(6));
+  EXPECT_EQ(*set.begin(), 6);
 }
 
 }  // namespace

@@ -313,5 +313,116 @@ TEST(ReplicationPipelineTest, InstallSnapshotIsBilledItsWireSize) {
   EXPECT_EQ(network.bytes_sent(), rpc->WireSize());
 }
 
+AppendEntriesResponse MismatchResponse(uint64_t rpc_id,
+                                       storage::LogIndex entry_index,
+                                       storage::LogIndex last_index) {
+  AppendEntriesResponse resp = StrongResponse(rpc_id, last_index, 1);
+  resp.state = AcceptState::kLogMismatch;
+  resp.entry_index = entry_index;
+  return resp;
+}
+
+// The first RPC is held open by the follower while later ones land behind
+// it; its timeout re-queues index 1 below every queued index, and the
+// freed slot must pick it first.
+TEST(ReplicationPipelineTest, TimeoutRequeuesBelowTheDispatchFloor) {
+  sim::Simulator sim(1);
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(2, 1, 0));
+  ctx.MakeLeader(1);
+  ctx.FillLog(8, 1);
+  for (storage::LogIndex i = 1; i <= 8; ++i) {
+    ctx.pipeline()->EnqueueForPeer(2, i);
+  }
+  auto appends = ctx.SentOfType<AppendEntriesRequest>();
+  ASSERT_EQ(appends.size(), 2u);
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 6u);
+
+  // Index 2's RPC and its successors complete; index 1's stays open.
+  for (storage::LogIndex i = 2; i <= 4; ++i) {
+    ctx.pipeline()->HandleAppendResponse(
+        StrongResponse(appends.back().rpc_id, i, 1));
+    appends = ctx.SentOfType<AppendEntriesRequest>();
+    EXPECT_EQ(appends.back().entry.index, i + 1);
+  }
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 3u);  // 6, 7, 8.
+  EXPECT_EQ(ctx.pipeline()->OutstandingRpcCount(), 2u);   // 1 and 5.
+
+  sim.RunUntil(Millis(150));  // Both RPCs time out and re-queue.
+  appends = ctx.SentOfType<AppendEntriesRequest>();
+  ASSERT_EQ(appends.size(), 7u);
+  EXPECT_EQ(appends[5].entry.index, 1);
+  EXPECT_EQ(appends[6].entry.index, 5);
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 3u);
+}
+
+// Each rejection walks the resend start one index further down, below the
+// lowest index still queued, and dispatch always takes the lowest.
+TEST(ReplicationPipelineTest, MismatchBacktrackingQueuesBelowTheRingFront) {
+  sim::Simulator sim(1);
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 1, 0));
+  ctx.MakeLeader(1);
+  ctx.FillLog(10, 1);
+  ctx.pipeline()->EnqueueForPeer(2, 8);
+  auto appends = ctx.SentOfType<AppendEntriesRequest>();
+  ASSERT_EQ(appends.size(), 1u);
+
+  ctx.pipeline()->HandleAppendResponse(
+      MismatchResponse(appends[0].rpc_id, /*entry_index=*/8,
+                       /*last_index=*/6));
+  appends = ctx.SentOfType<AppendEntriesRequest>();
+  ASSERT_EQ(appends.size(), 2u);
+  EXPECT_EQ(appends[1].entry.index, 7);
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 3u);  // 8, 9, 10.
+
+  ctx.pipeline()->HandleAppendResponse(
+      MismatchResponse(appends[1].rpc_id, /*entry_index=*/7,
+                       /*last_index=*/6));
+  appends = ctx.SentOfType<AppendEntriesRequest>();
+  ASSERT_EQ(appends.size(), 3u);
+  EXPECT_EQ(appends[2].entry.index, 6);
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 4u);  // 7 .. 10.
+
+  for (storage::LogIndex i = 6; i <= 9; ++i) {
+    ctx.pipeline()->HandleAppendResponse(
+        StrongResponse(appends.back().rpc_id, i, 1));
+    appends = ctx.SentOfType<AppendEntriesRequest>();
+    EXPECT_EQ(appends.back().entry.index, i + 1);
+  }
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 0u);
+}
+
+TEST(ReplicationPipelineTest, CatchUpFillsOnlyIndicesNotInThePipeline) {
+  sim::Simulator sim(1);
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 1, 0));
+  ctx.MakeLeader(1);
+  ctx.FillLog(12, 1);
+  ctx.pipeline()->EnqueueForPeer(2, 1);  // In flight.
+  ctx.pipeline()->EnqueueForPeer(2, 2);  // Queued.
+  ctx.pipeline()->EnqueueForPeer(2, 4);  // Queued, leaving a hole at 3.
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 2u);
+
+  // The peer reports log end 0: catch-up fills above the highest index
+  // ever enqueued (4), a burst of 4 * dispatchers + 1 = 5..9.
+  ctx.pipeline()->MaybeCatchUpPeer(2, 0);
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 7u);
+  // The same report again adds the next burst only.
+  ctx.pipeline()->MaybeCatchUpPeer(2, 0);
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 10u);  // .. 12.
+
+  // The hole is never filled by catch-up; the rest drains in order.
+  auto appends = ctx.SentOfType<AppendEntriesRequest>();
+  std::vector<storage::LogIndex> order;
+  while (ctx.pipeline()->OutstandingRpcCount() > 0) {
+    const size_t sent = appends.size();
+    ctx.pipeline()->HandleAppendResponse(
+        StrongResponse(appends.back().rpc_id, appends.back().entry.index, 1));
+    appends = ctx.SentOfType<AppendEntriesRequest>();
+    if (appends.size() > sent) order.push_back(appends.back().entry.index);
+  }
+  EXPECT_EQ(order,
+            (std::vector<storage::LogIndex>{2, 4, 5, 6, 7, 8, 9, 10, 11, 12}));
+  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 0u);
+}
+
 }  // namespace
 }  // namespace nbraft::raft
