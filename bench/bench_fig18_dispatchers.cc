@@ -6,8 +6,6 @@
 // the client-concurrency sweep — NB-Raft performs better at high
 // dispatcher counts.
 
-#include <cstdio>
-
 #include "bench/bench_util.h"
 
 using namespace nbraft;
@@ -36,28 +34,5 @@ int main(int argc, char** argv) {
                     dispatchers, bench::AllProtocols(), results,
                     /*latency=*/true);
 
-  // Beyond the paper: the same sweep with AppendEntries batching
-  // (max_batch_entries = 8). Batching amortizes per-RPC dispatch cost
-  // exactly where Fig. 18 hurts — few dispatchers, deep queues — and
-  // must not regress the uncontended right-hand side of the curve.
-  const std::vector<raft::Protocol> pair = {raft::Protocol::kRaft,
-                                            raft::Protocol::kNbRaft};
-  for (const int batch : {1, 8}) {
-    const auto batched = bench::RunSweep(
-        mode, dispatchers, pair, [batch](double x, harness::ClusterConfig* c) {
-          c->num_nodes = 3;
-          c->num_clients = 256;
-          c->payload_size = 4096;
-          c->client_think = Micros(5);
-          c->dispatchers = static_cast<int>(x);
-          c->max_batch_entries = batch;
-        });
-    char title[96];
-    std::snprintf(title, sizeof(title),
-                  "Fig. 18+ — AppendEntries batching, max_batch_entries=%d",
-                  batch);
-    bench::PrintTable(title, "#dispatchers", dispatchers, pair, batched,
-                      /*latency=*/false);
-  }
   return 0;
 }

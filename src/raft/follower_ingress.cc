@@ -147,10 +147,6 @@ void FollowerIngress::HandleAppendEntries(AppendEntriesRequest req,
     });
     return;
   }
-  if (!req.extra_entries.empty()) {
-    ProcessBatch(std::move(req), received_at);
-    return;
-  }
   ProcessEntry(req, received_at, /*from_held_queue=*/false);
 }
 
@@ -242,10 +238,11 @@ void FollowerIngress::ProcessEntry(const AppendEntriesRequest& req,
 
 SimDuration FollowerIngress::AppendChained(storage::LogEntry entry,
                                            SimTime received_at) {
-  const SimDuration wait = ctx_->Now() - received_at;
-  ctx_->stats().wait_hist.Record(wait);
-  ctx_->TracePhase(metrics::Phase::kWaitFollower, received_at, ctx_->Now(),
-                   entry.term, entry.index, entry.request_id);
+  if (received_at != SlidingWindow::kNoReceiveTime) {
+    ctx_->stats().wait_hist.Record(ctx_->Now() - received_at);
+    ctx_->TracePhase(metrics::Phase::kWaitFollower, received_at, ctx_->Now(),
+                     entry.term, entry.index, entry.request_id);
+  }
   const SimDuration cost = FollowerAppendCost(entry);
   ctx_->PersistEntry(entry);
   NoteConfigAppended(ctx_, entry);
@@ -261,111 +258,23 @@ SimDuration FollowerIngress::FlushWindowPrefix() {
   std::vector<SlidingWindow::Flushed> flushed = std::move(flush_buffer_);
   window_.TakeFlushablePrefix(log.LastIndex(), log.LastTerm(), &flushed);
   for (auto& [e, received_at] : flushed) {
-    if (received_at != SlidingWindow::kNoReceiveTime) {
-      const SimDuration w = ctx_->Now() - received_at;
-      ctx_->stats().wait_hist.Record(w);
-      ctx_->TracePhase(metrics::Phase::kWaitFollower, received_at,
-                       ctx_->Now(), e.term, e.index, e.request_id);
-    }
-    cost += FollowerAppendCost(e);
-    ctx_->PersistEntry(e);
-    NoteConfigAppended(ctx_, e);
-    log.Append(std::move(e));
-    ++ctx_->stats().entries_appended;
+    cost += AppendChained(std::move(e), received_at);
   }
   flushed.clear();
   flush_buffer_ = std::move(flushed);
   return cost;
 }
 
-void FollowerIngress::ProcessBatch(AppendEntriesRequest req,
-                                   SimTime received_at) {
-  storage::RaftLog& log = ctx_->log();
-  if (req.entry.index != log.LastIndex() + 1 ||
-      log.LastTerm() != req.entry.prev_term) {
-    // The head does not extend our log directly: peel the batch into the
-    // normal per-entry decision tree (duplicates, truncation, window
-    // caching, holding). The leader accepts one response per entry under
-    // the shared rpc_id.
-    AppendEntriesRequest sub = req;
-    sub.extra_entries.clear();
-    ProcessEntry(sub, received_at, /*from_held_queue=*/false);
-    for (storage::LogEntry& e : req.extra_entries) {
-      sub.entry = std::move(e);
-      ProcessEntry(sub, received_at, /*from_held_queue=*/false);
-    }
-    return;
-  }
-
-  // Fast path: the batch is a consecutive run extending our log — append
-  // the whole run (interleaved with window flushes) under ONE log-lock
-  // acquisition and answer with ONE strong accept. This is the
-  // amortization batching buys: one RPC, one lock pass, one held-entry
-  // wakeup round instead of `batch` of each.
-  SimDuration cost = AppendChained(req.entry, received_at);
-  cost += FlushWindowPrefix();
-  size_t consumed = 0;
-  for (storage::LogEntry& e : req.extra_entries) {
-    if (e.index <= log.LastIndex()) {
-      // A window flush already placed this index; only a matching entry is
-      // a duplicate we can skip.
-      if (log.Matches(e.index, e.term)) {
-        ++consumed;
-        continue;
-      }
-      break;
-    }
-    if (e.index != log.LastIndex() + 1 || log.LastTerm() != e.prev_term) {
-      break;  // Chain broken mid-batch (truncation raced the send).
-    }
-    cost += AppendChained(std::move(e), received_at);
-    cost += FlushWindowPrefix();
-    ++consumed;
-  }
-
-  const storage::LogIndex new_last = log.LastIndex();
-  const storage::Term new_last_term = log.LastTerm();
-  ctx_->stats().append_latency.Record(ctx_->Now() - received_at);
-  AdvanceFollowerCommit(req.leader_commit, new_last);
-  cost += ctx_->options().costs.held_wakeup_cost *
-          static_cast<SimDuration>(held_entries_.size());
-
-  SubmitStrongAccept(req, new_last, new_last_term, cost);
-
-  RecheckHeldEntries();
-
-  // Entries past a chain break re-enter the per-entry path (they may be
-  // window-cacheable or held).
-  if (consumed < req.extra_entries.size()) {
-    std::vector<storage::LogEntry> rest = std::move(req.extra_entries);
-    AppendEntriesRequest sub = std::move(req);
-    for (size_t i = consumed; i < rest.size(); ++i) {
-      sub.entry = std::move(rest[i]);
-      ProcessEntry(sub, received_at, /*from_held_queue=*/false);
-    }
-  }
-}
-
 void FollowerIngress::AppendAndFlush(const AppendEntriesRequest& req,
                                      SimTime received_at,
                                      bool truncate_first) {
   storage::RaftLog& log = ctx_->log();
-  storage::LogEntry entry = req.entry;
   if (truncate_first) {
-    NBRAFT_CHECK(log.TruncateSuffix(entry.index).ok());
-    ctx_->PersistTruncate(entry.index);
+    NBRAFT_CHECK(log.TruncateSuffix(req.entry.index).ok());
+    ctx_->PersistTruncate(req.entry.index);
   }
 
-  const SimDuration wait = ctx_->Now() - received_at;
-  ctx_->stats().wait_hist.Record(wait);
-  ctx_->TracePhase(metrics::Phase::kWaitFollower, received_at, ctx_->Now(),
-                   entry.term, entry.index, entry.request_id);
-
-  SimDuration cost = FollowerAppendCost(entry);
-  ctx_->PersistEntry(entry);
-  NoteConfigAppended(ctx_, entry);
-  log.Append(std::move(entry));
-  ++ctx_->stats().entries_appended;
+  SimDuration cost = AppendChained(req.entry, received_at);
 
   if (truncate_first) {
     window_.OnLogReshaped(log.LastIndex(), req.entry.term);

@@ -99,15 +99,10 @@ class FollowerIngress {
   /// it in the waiting loop.
   void ProcessEntry(const AppendEntriesRequest& req, SimTime received_at,
                     bool from_held_queue);
-  /// Batched RPC: appends the whole consecutive run under one log-lock
-  /// acquisition when the head extends the log directly; otherwise peels
-  /// the batch into per-entry decisions (the leader accepts multiple
-  /// responses per rpc_id).
-  void ProcessBatch(AppendEntriesRequest req, SimTime received_at);
   void AppendAndFlush(const AppendEntriesRequest& req, SimTime received_at,
                       bool truncate_first);
   /// Charges `cost` on the log-lock lane; on completion traces
-  /// t_append(F) and t_wait(F) for `req`'s head entry and, once durable,
+  /// t_append(F) and t_wait(F) for `req`'s entry and, once durable,
   /// answers it with a strong accept covering (new_last, new_last_term).
   void SubmitStrongAccept(const AppendEntriesRequest& req,
                           storage::LogIndex new_last,
@@ -120,8 +115,10 @@ class FollowerIngress {
   }
   void RecheckHeldEntries();
   SimDuration FollowerAppendCost(const storage::LogEntry& entry) const;
-  /// Appends one leader-chained entry: t_wait accounting, persistence and
-  /// the in-memory append; returns the entry's log-lock cost share.
+  /// Appends one leader-chained entry: t_wait(F) accounting (skipped when
+  /// `received_at` is SlidingWindow::kNoReceiveTime), persistence and the
+  /// in-memory append; returns the entry's log-lock cost share. The one
+  /// per-entry append sequence of the direct path and the window flush.
   SimDuration AppendChained(storage::LogEntry entry, SimTime received_at);
   /// Flushes the continuous window prefix into the log (paper Fig. 9),
   /// accumulating the per-entry cost; returns the total.

@@ -19,12 +19,7 @@ namespace nbraft::raft {
 
 /// AppendEntries RPC. Each dispatcher is a synchronous RPC lane (paper
 /// Fig. 3) carrying `entry`; heartbeats are empty RPCs that also carry the
-/// commit index. With `RaftOptions::max_batch_entries` > 1 a dispatcher
-/// may coalesce a *consecutive* run of queued indices into one RPC:
-/// `entry` stays the head of the run and `extra_entries` carries the rest
-/// in index order. The wire default (max_batch_entries = 1) leaves
-/// extra_entries empty — the single-entry form is byte-identical to the
-/// unbatched protocol.
+/// commit index.
 struct AppendEntriesRequest {
   storage::Term term = 0;
   net::NodeId leader = net::kInvalidNode;
@@ -32,13 +27,6 @@ struct AppendEntriesRequest {
 
   bool is_heartbeat = false;
   storage::LogEntry entry;  ///< Valid when !is_heartbeat.
-  /// Batched form: entries directly following `entry` (indices
-  /// entry.index + 1, +2, ... in order). Empty on the single-entry wire
-  /// default. A follower that cannot append the whole run contiguously
-  /// peels it into per-entry decisions and may send several responses for
-  /// one rpc_id (the leader's bookkeeping frees the dispatcher on the
-  /// first and tolerates the rest).
-  std::vector<storage::LogEntry> extra_entries;
   storage::LogIndex leader_commit = 0;
   /// Term of the leader's entry at leader_commit: lets a follower verify
   /// its log matches before advancing its commit index off a heartbeat.
@@ -52,10 +40,8 @@ struct AppendEntriesRequest {
 
   /// Modelled wire size.
   size_t WireSize() const {
-    size_t size = (is_heartbeat ? 0 : entry.WireSize()) + 64 +
-                  relay_to.size() * 4 + (signed_payload ? 96 : 0);
-    for (const storage::LogEntry& e : extra_entries) size += e.WireSize();
-    return size;
+    return (is_heartbeat ? 0 : entry.WireSize()) + 64 + relay_to.size() * 4 +
+           (signed_payload ? 96 : 0);
   }
   obs::JournalRpc rpc() const {
     return is_heartbeat ? obs::JournalRpc::kHeartbeat

@@ -44,11 +44,6 @@ std::string NodeStats::ToJson() const {
   out += counter("recoveries", recoveries);
   out += counter("append_rpcs_sent", append_rpcs_sent);
   out += counter("append_entries_sent", append_entries_sent);
-  out += counter("batched_rpcs", batched_rpcs);
-  char ratio[64];
-  std::snprintf(ratio, sizeof(ratio), "\"entries_per_rpc\":%.3f,",
-                entries_per_rpc());
-  out += ratio;
   out += "\"wait_hist\":" + wait_hist.ToJson() + ",";
   out += "\"append_latency\":" + append_latency.ToJson() + ",";
   out += "\"breakdown\":" + breakdown.ToJson();

@@ -78,16 +78,6 @@ struct NodeStats {
   // Replication pipeline RPC accounting (leader side, non-heartbeat).
   uint64_t append_rpcs_sent = 0;     ///< AppendEntries RPCs carrying entries.
   uint64_t append_entries_sent = 0;  ///< Entries those RPCs carried.
-  uint64_t batched_rpcs = 0;         ///< RPCs that carried more than one.
-
-  /// Mean entries per AppendEntries RPC (1.0 with batching off; the
-  /// amortization factor with `max_batch_entries` > 1).
-  double entries_per_rpc() const {
-    return append_rpcs_sent == 0
-               ? 0.0
-               : static_cast<double>(append_entries_sent) /
-                     static_cast<double>(append_rpcs_sent);
-  }
 
   /// Serializes every counter (plus the breakdown and histograms) as a
   /// JSON object, so harness and chaos reports can emit node stats without

@@ -15,15 +15,8 @@ namespace nbraft::raft {
 /// request intake (parse -> serialized indexing lane), per-follower
 /// dispatcher queues, in-flight RPC bookkeeping with timeouts, heartbeat
 /// fan-out, lagging-peer catch-up and snapshot sends. CRaft fragmenting,
-/// KRaft relay assembly and VGRaft signing hook in on this side too.
-///
-/// Batching: when `options.max_batch_entries` > 1, a freed dispatcher slot
-/// coalesces up to that many *consecutive* queued indices into one
-/// AppendEntries RPC (one wire round trip, one follower log-lock
-/// acquisition for the whole run). On the NB-Raft path the batch is capped
-/// so it never reaches past the follower's window
-/// (`last_reported + window_size`). With the default of 1 the pipeline is
-/// bit-identical to unbatched replication.
+/// KRaft relay assembly and VGRaft signing hook in on this side too. Each
+/// AppendEntries RPC carries one entry.
 class ReplicationPipeline {
  public:
   explicit ReplicationPipeline(NodeContext* ctx) : ctx_(ctx) {}
@@ -93,8 +86,7 @@ class ReplicationPipeline {
   /// Leader-side replication state for one follower connection.
   struct PeerState {
     /// Queued and in-flight indices (the two are disjoint). Ascending, so
-    /// dispatch takes the lowest queued index and batch coalescing walks
-    /// consecutive runs.
+    /// dispatch takes the lowest queued index.
     IndexRing<PendingIndex> pending;
     size_t queued = 0;  ///< Slots of `pending` that are queued.
     /// No queued index lies below this. Dispatch scans from here, not
@@ -121,19 +113,16 @@ class ReplicationPipeline {
     SimTime last_advance_at = 0;
   };
 
-  /// An in-flight AppendEntries or InstallSnapshot RPC. It carries the
-  /// `count` consecutive log indices from `index` (more than one only when
-  /// batching coalesced a run).
+  /// An in-flight AppendEntries or InstallSnapshot RPC for log `index`.
   struct OutstandingRpc {
     net::NodeId peer = net::kInvalidNode;
     storage::LogIndex index = 0;
-    int count = 1;
     bool is_snapshot = false;
     sim::EventId timeout_event = sim::kInvalidEventId;
   };
 
   void IndexAndReplicate(ClientRequest req);
-  void SendAppendRpc(net::NodeId peer, storage::LogIndex first, int count);
+  void SendAppendRpc(net::NodeId peer, storage::LogIndex index);
   /// Queues `index` for `peer` (absent from its pipeline) at time now.
   void Queue(PeerState* ps, storage::LogIndex index);
   /// Takes `index` off the wire for `peer` (a response or timeout).

@@ -1,7 +1,7 @@
 // The one ack gate on its parked path. With the mock context holding every
 // WhenDurable continuation (a disk whose covering fsync is still in
 // flight), each durability claim — the candidacy broadcast, a vote grant,
-// the three follower strong-accept paths and the leader's own commit vote
+// the two follower strong-accept paths and the leader's own commit vote
 // — must wait for the release, while a reply that promises nothing (a
 // denied vote) leaves at once.
 
@@ -94,12 +94,11 @@ TEST(DurabilityGateTest, FollowerStrongAcceptsWaitForRelease) {
   MockNodeContext ctx(&sim, /*id=*/2, {1, 3}, GateOptions());
   ctx.hold_durability = true;
 
-  // Direct append of entry 1, then a batched run 2..3 extending it.
+  // Direct appends of entries 1, 2 and 3.
   ctx.ingress()->HandleAppendEntries(Append(1, 0), sim.Now());
-  AppendEntriesRequest batch = Append(2, 1);
-  batch.extra_entries.push_back(Append(3, 1).entry);
-  ctx.ingress()->HandleAppendEntries(batch, sim.Now());
-  sim.RunUntil(Millis(1));  // The log-lock lane finishes both appends.
+  ctx.ingress()->HandleAppendEntries(Append(2, 1), sim.Now());
+  ctx.ingress()->HandleAppendEntries(Append(3, 1), sim.Now());
+  sim.RunUntil(Millis(1));  // The log-lock lane finishes the appends.
   // A duplicate delivery of entry 1.
   ctx.ingress()->HandleAppendEntries(Append(1, 0), sim.Now());
 
@@ -109,10 +108,11 @@ TEST(DurabilityGateTest, FollowerStrongAcceptsWaitForRelease) {
 
   ctx.ReleaseDurable();
   const std::vector<AppendEntriesResponse> accepts = StrongAccepts(ctx);
-  ASSERT_EQ(accepts.size(), 3u);
-  EXPECT_EQ(accepts[0].last_index, 1);  // Direct append.
-  EXPECT_EQ(accepts[1].last_index, 3);  // Batch.
-  EXPECT_EQ(accepts[2].last_index, 3);  // Duplicate.
+  ASSERT_EQ(accepts.size(), 4u);
+  EXPECT_EQ(accepts[0].last_index, 1);  // Direct appends.
+  EXPECT_EQ(accepts[1].last_index, 2);
+  EXPECT_EQ(accepts[2].last_index, 3);
+  EXPECT_EQ(accepts[3].last_index, 3);  // Duplicate.
   EXPECT_EQ(ctx.core().strong_ack_frontier, 3);
 }
 

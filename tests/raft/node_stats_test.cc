@@ -5,27 +5,12 @@
 namespace nbraft::raft {
 namespace {
 
-TEST(NodeStatsTest, EntriesPerRpcAveragesBatchSizes) {
-  NodeStats stats;
-  EXPECT_DOUBLE_EQ(stats.entries_per_rpc(), 0.0);  // No RPCs yet.
-
-  stats.append_rpcs_sent = 4;
-  stats.append_entries_sent = 4;
-  EXPECT_DOUBLE_EQ(stats.entries_per_rpc(), 1.0);  // Unbatched.
-
-  stats.append_rpcs_sent = 4;
-  stats.append_entries_sent = 10;
-  stats.batched_rpcs = 2;
-  EXPECT_DOUBLE_EQ(stats.entries_per_rpc(), 2.5);
-}
-
 TEST(NodeStatsTest, ToJsonCarriesEveryCounter) {
   NodeStats stats;
   stats.entries_appended = 11;
   stats.entries_committed = 7;
   stats.append_rpcs_sent = 4;
   stats.append_entries_sent = 10;
-  stats.batched_rpcs = 2;
   stats.breakdown.Add(metrics::Phase::kCommit, Millis(1));
   stats.wait_hist.Record(100);
 
@@ -34,8 +19,6 @@ TEST(NodeStatsTest, ToJsonCarriesEveryCounter) {
   EXPECT_NE(json.find("\"entries_committed\":7"), std::string::npos);
   EXPECT_NE(json.find("\"append_rpcs_sent\":4"), std::string::npos);
   EXPECT_NE(json.find("\"append_entries_sent\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"batched_rpcs\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"entries_per_rpc\":2.500"), std::string::npos);
   EXPECT_NE(json.find("\"wait_hist\":"), std::string::npos);
   EXPECT_NE(json.find("\"append_latency\":"), std::string::npos);
   EXPECT_NE(json.find("\"breakdown\":"), std::string::npos);

@@ -54,9 +54,6 @@ struct Fixture {
       const auto* req = m.payload.Get<AppendEntriesRequest>();
       if (req == nullptr || req->is_heartbeat) continue;
       max_index = std::max(max_index, req->entry.index);
-      for (const auto& e : req->extra_entries) {
-        max_index = std::max(max_index, e.index);
-      }
     }
     return max_index;
   }

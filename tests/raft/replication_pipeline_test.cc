@@ -35,10 +35,9 @@ class NetworkedContext : public MockNodeContext {
   net::SimNetwork* network_;
 };
 
-RaftOptions PipelineOptions(int dispatchers, int max_batch, int window) {
+RaftOptions PipelineOptions(int dispatchers, int window) {
   RaftOptions options;
   options.dispatchers_per_follower = dispatchers;
-  options.max_batch_entries = max_batch;
   options.window_size = window;
   options.rpc_timeout = Millis(100);
   return options;
@@ -60,7 +59,7 @@ AppendEntriesResponse StrongResponse(uint64_t rpc_id,
 
 TEST(ReplicationPipelineTest, DispatcherCapHoldsQueueAndFreedSlotDrainsIt) {
   sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(2, 1, 0));
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(2, 0));
   ctx.MakeLeader(1);
   ctx.FillLog(5, 1);
 
@@ -82,7 +81,7 @@ TEST(ReplicationPipelineTest, DispatcherCapHoldsQueueAndFreedSlotDrainsIt) {
 
 TEST(ReplicationPipelineTest, TimeoutRecyclingDispatchesMinIndexFirst) {
   sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 1, 0));
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 0));
   ctx.MakeLeader(1);
   ctx.FillLog(5, 1);
 
@@ -113,75 +112,6 @@ TEST(ReplicationPipelineTest, TimeoutRecyclingDispatchesMinIndexFirst) {
   EXPECT_EQ(appends[3].entry.index, 5);
 }
 
-TEST(ReplicationPipelineTest, BatchAssemblyCoalescesConsecutiveRun) {
-  sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 4, 0));
-  ctx.MakeLeader(1);
-  ctx.FillLog(6, 1);
-
-  ctx.pipeline()->EnqueueForPeer(2, 1);  // Dispatches alone (queue empty).
-  for (storage::LogIndex i = 2; i <= 6; ++i) {
-    ctx.pipeline()->EnqueueForPeer(2, i);
-  }
-  auto appends = ctx.SentOfType<AppendEntriesRequest>();
-  ASSERT_EQ(appends.size(), 1u);
-  EXPECT_TRUE(appends[0].extra_entries.empty());
-
-  // Freed slot drains the consecutive run 2..5 as ONE RPC (cap 4).
-  ctx.pipeline()->HandleAppendResponse(StrongResponse(appends[0].rpc_id, 1, 1));
-  appends = ctx.SentOfType<AppendEntriesRequest>();
-  ASSERT_EQ(appends.size(), 2u);
-  EXPECT_EQ(appends[1].entry.index, 2);
-  ASSERT_EQ(appends[1].extra_entries.size(), 3u);
-  EXPECT_EQ(appends[1].extra_entries[0].index, 3);
-  EXPECT_EQ(appends[1].extra_entries[2].index, 5);
-  EXPECT_EQ(ctx.stats().batched_rpcs, 1u);
-  EXPECT_EQ(ctx.stats().append_entries_sent, 5u);
-  EXPECT_EQ(ctx.stats().append_rpcs_sent, 2u);
-
-  // The leftover (6) goes out single once the batch is acked.
-  ctx.pipeline()->HandleAppendResponse(StrongResponse(appends[1].rpc_id, 5, 1));
-  appends = ctx.SentOfType<AppendEntriesRequest>();
-  ASSERT_EQ(appends.size(), 3u);
-  EXPECT_EQ(appends[2].entry.index, 6);
-  EXPECT_TRUE(appends[2].extra_entries.empty());
-}
-
-TEST(ReplicationPipelineTest, BatchNeverReachesPastFollowerWindow) {
-  sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2},
-                      PipelineOptions(1, /*max_batch=*/16, /*window=*/4));
-  ctx.MakeLeader(1);
-  ctx.FillLog(8, 1);
-
-  for (storage::LogIndex i = 1; i <= 8; ++i) {
-    ctx.pipeline()->EnqueueForPeer(2, i);
-  }
-  auto appends = ctx.SentOfType<AppendEntriesRequest>();
-  ASSERT_EQ(appends.size(), 1u);
-
-  // The follower reports log end 1 via a heartbeat ack.
-  AppendEntriesResponse hb;
-  hb.term = 1;
-  hb.from = 2;
-  hb.rpc_id = 0;
-  hb.state = AcceptState::kStrongAccept;
-  hb.is_heartbeat = true;
-  hb.last_index = 1;
-  hb.last_term = 1;
-  ctx.pipeline()->HandleAppendResponse(hb);
-
-  // Freed slot: the batch may cover 2..5 at most (last_reported 1 +
-  // window 4) even though 2..8 are all queued and the cap is 16 —
-  // anything further would land in the follower's blocking held loop.
-  ctx.pipeline()->HandleAppendResponse(StrongResponse(appends[0].rpc_id, 1, 1));
-  appends = ctx.SentOfType<AppendEntriesRequest>();
-  ASSERT_EQ(appends.size(), 2u);
-  EXPECT_EQ(appends[1].entry.index, 2);
-  EXPECT_EQ(appends[1].extra_entries.size(), 3u);  // 3, 4, 5.
-  EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 3u);  // 6, 7, 8 wait.
-}
-
 AppendEntriesResponse HeartbeatAck(storage::LogIndex last_index) {
   AppendEntriesResponse hb;
   hb.term = 2;
@@ -196,7 +126,7 @@ AppendEntriesResponse HeartbeatAck(storage::LogIndex last_index) {
 TEST(ReplicationPipelineTest, LaggingPeerGetsThePreLeadershipGapOnce) {
   sim::Simulator sim(1);
   MockNodeContext ctx(&sim, /*id=*/1, {2},
-                      PipelineOptions(/*dispatchers=*/64, 1, /*window=*/64));
+                      PipelineOptions(/*dispatchers=*/64, /*window=*/64));
   ctx.FillLog(20, 1);  // The old leader's entries, 1..20.
   ctx.MakeLeader(2);
   ctx.FillLog(1, 2);   // This leadership's first entry (the no-op), 21.
@@ -221,28 +151,9 @@ TEST(ReplicationPipelineTest, LaggingPeerGetsThePreLeadershipGapOnce) {
   EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 0u);
 }
 
-TEST(ReplicationPipelineTest, BatchOfOneIsTheUnbatchedWireForm) {
-  sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 1, 0));
-  ctx.MakeLeader(1);
-  ctx.FillLog(4, 1);
-
-  for (storage::LogIndex i = 1; i <= 4; ++i) {
-    ctx.pipeline()->EnqueueForPeer(2, i);
-  }
-  auto appends = ctx.SentOfType<AppendEntriesRequest>();
-  ASSERT_EQ(appends.size(), 1u);
-  ctx.pipeline()->HandleAppendResponse(StrongResponse(appends[0].rpc_id, 1, 1));
-
-  for (const auto& req : ctx.SentOfType<AppendEntriesRequest>()) {
-    EXPECT_TRUE(req.extra_entries.empty());
-  }
-  EXPECT_EQ(ctx.stats().batched_rpcs, 0u);
-}
-
 TEST(ReplicationPipelineTest, ResetLeaderStateDropsEverything) {
   sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2, 3}, PipelineOptions(1, 1, 0));
+  MockNodeContext ctx(&sim, /*id=*/1, {2, 3}, PipelineOptions(1, 0));
   ctx.MakeLeader(1);
   ctx.FillLog(4, 1);
   for (storage::LogIndex i = 1; i <= 4; ++i) {
@@ -268,7 +179,7 @@ TEST(ReplicationPipelineTest, ResetLeaderStateDropsEverything) {
 TEST(ReplicationPipelineTest, ShardRpcIsBilledItsWireSize) {
   sim::Simulator sim(1);
   net::SimNetwork network(&sim, net::NetworkConfig{});
-  RaftOptions options = PipelineOptions(1, 1, 0);
+  RaftOptions options = PipelineOptions(1, 0);
   options.erasure = true;
   NetworkedContext ctx(&sim, &network, /*id=*/1, {2, 3}, options);
   ctx.MakeLeader(1);
@@ -297,7 +208,7 @@ TEST(ReplicationPipelineTest, InstallSnapshotIsBilledItsWireSize) {
   sim::Simulator sim(1);
   net::SimNetwork network(&sim, net::NetworkConfig{});
   NetworkedContext ctx(&sim, &network, /*id=*/1, {2},
-                       PipelineOptions(1, 1, 0));
+                       PipelineOptions(1, 0));
   ctx.MakeLeader(1);
   ctx.core().snapshot_index = 10;
   ctx.core().snapshot_term = 1;
@@ -327,7 +238,7 @@ AppendEntriesResponse MismatchResponse(uint64_t rpc_id,
 // freed slot must pick it first.
 TEST(ReplicationPipelineTest, TimeoutRequeuesBelowTheDispatchFloor) {
   sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(2, 1, 0));
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(2, 0));
   ctx.MakeLeader(1);
   ctx.FillLog(8, 1);
   for (storage::LogIndex i = 1; i <= 8; ++i) {
@@ -359,7 +270,7 @@ TEST(ReplicationPipelineTest, TimeoutRequeuesBelowTheDispatchFloor) {
 // lowest index still queued, and dispatch always takes the lowest.
 TEST(ReplicationPipelineTest, MismatchBacktrackingQueuesBelowTheRingFront) {
   sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 1, 0));
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 0));
   ctx.MakeLeader(1);
   ctx.FillLog(10, 1);
   ctx.pipeline()->EnqueueForPeer(2, 8);
@@ -393,7 +304,7 @@ TEST(ReplicationPipelineTest, MismatchBacktrackingQueuesBelowTheRingFront) {
 
 TEST(ReplicationPipelineTest, CatchUpFillsOnlyIndicesNotInThePipeline) {
   sim::Simulator sim(1);
-  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 1, 0));
+  MockNodeContext ctx(&sim, /*id=*/1, {2}, PipelineOptions(1, 0));
   ctx.MakeLeader(1);
   ctx.FillLog(12, 1);
   ctx.pipeline()->EnqueueForPeer(2, 1);  // In flight.
