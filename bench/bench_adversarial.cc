@@ -99,8 +99,8 @@ CellResult RunCell(raft::Protocol protocol, Attack attack, Mitigation m,
   config.seed = 20260808;  // Fixed: the sweep compares cells, not runs.
   config.release_payloads = true;
   config.pre_vote = m == Mitigation::kPreVote || m == Mitigation::kAll;
-  config.check_quorum = m == Mitigation::kCqLease || m == Mitigation::kAll;
-  config.leader_lease = m == Mitigation::kCqLease || m == Mitigation::kAll;
+  config.check_quorum_lease =
+      m == Mitigation::kCqLease || m == Mitigation::kAll;
 
   chaos::ChaosPlan plan;
   plan.seed = 99;

@@ -109,8 +109,7 @@ CellResult RunCell(const CellSpec& spec, SimDuration warmup,
   // The mitigation stack every elastic deployment runs (a removed or
   // stale-config server must not depose the leader mid-reconfiguration).
   config.pre_vote = true;
-  config.check_quorum = true;
-  config.leader_lease = true;
+  config.check_quorum_lease = true;
 
   harness::Cluster cluster(config);
   cluster.Start();

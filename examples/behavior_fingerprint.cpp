@@ -144,8 +144,7 @@ harness::ClusterConfig ElasticConfig(raft::Protocol protocol, uint64_t seed) {
   config.num_groups = 1;
   config.initial_voters = 3;
   config.pre_vote = true;
-  config.check_quorum = true;
-  config.leader_lease = true;
+  config.check_quorum_lease = true;
   config.disk.enabled = true;
   config.disk.write_latency = Micros(10);
   config.disk.fsync_latency = Micros(100);

@@ -203,7 +203,7 @@ void ElectionEngine::HandlePreVoteRequest(const RequestVoteRequest& req) {
   resp.from = ctx_->id();
   resp.granted = false;
   resp.pre_vote = true;
-  if (ctx_->options().leader_lease && LeaseHeld()) {
+  if (ctx_->options().check_quorum_lease && LeaseHeld()) {
     ++ctx_->stats().prevotes_rejected;
     SendLeaseReject(req);
     return;
@@ -238,7 +238,7 @@ void ElectionEngine::HandleRequestVote(RequestVoteRequest req) {
     return;
   }
   CoreState& core = ctx_->core();
-  if (ctx_->options().leader_lease && LeaseHeld()) {
+  if (ctx_->options().check_quorum_lease && LeaseHeld()) {
     // The deposition shield: a known-live leader outranks any candidacy.
     // Critically this runs *before* the higher-term step-down — the
     // candidate's (possibly inflated) term is never adopted.
@@ -428,7 +428,7 @@ void ElectionEngine::BecomeLeader() {
   ctx_->simulator()->Cancel(election_timer_);
   election_timer_ = sim::kInvalidEventId;
   AbortPreVote();
-  if (ctx_->options().check_quorum) ArmCheckQuorumTimer();
+  if (ctx_->options().check_quorum_lease) ArmCheckQuorumTimer();
 
   // Any leader-side state left from a previous leadership — and weakly
   // accepted cache entries belonging to the previous leader's pipeline —
@@ -525,7 +525,7 @@ void ElectionEngine::NoteLeaderContact(storage::Term term,
   }
   core.leader = leader;
   // The lease clock: this is the moment a live leader was last heard.
-  // Tracked unconditionally (one store) so flipping leader_lease on never
+  // Tracked unconditionally (one store) so turning the lease on never
   // changes any other code path.
   last_leader_contact_ = ctx_->simulator()->Now();
   AbortPreVote();  // A live leader ends any canvass.

@@ -107,7 +107,7 @@ class ElectionEngine {
 
   /// True while a leader-lease holds: this node is the leader, or heard
   /// one within the last election_timeout. Only meaningful with
-  /// RaftOptions::leader_lease (callers gate on the option).
+  /// RaftOptions::check_quorum_lease (callers gate on the option).
   bool LeaseHeld() const;
 
  private:

@@ -27,8 +27,7 @@ namespace {
 
 struct Mitigations {
   bool pre_vote = false;
-  bool check_quorum = false;
-  bool leader_lease = false;
+  bool check_quorum_lease = false;
 };
 
 harness::ClusterConfig AdversarialConfig(raft::Protocol protocol,
@@ -47,8 +46,7 @@ harness::ClusterConfig AdversarialConfig(raft::Protocol protocol,
   config.client_max_requests = 250;
   config.snapshot_threshold = 0;
   config.pre_vote = m.pre_vote;
-  config.check_quorum = m.check_quorum;
-  config.leader_lease = m.leader_lease;
+  config.check_quorum_lease = m.check_quorum_lease;
   return config;
 }
 
@@ -123,7 +121,7 @@ std::vector<ChaosCell> MitigatedCells(uint64_t first_seed,
       ChaosCell cell;
       cell.name = CellName(protocol, seed, "Mitigated");
       cell.config =
-          AdversarialConfig(protocol, seed, Mitigations{true, true, true});
+          AdversarialConfig(protocol, seed, Mitigations{true, true});
       cell.plan = AdversarialPlan(seed, FaultKind::kDisruptiveServer);
       cell.options = AdversarialOptions(cell.name, true, 2);
       cells.push_back(std::move(cell));
@@ -221,7 +219,7 @@ TEST(AdversaryZooSweepTest, WithholderAndStormStaySafe) {
                              attack == FaultKind::kVoteWithholder ? "Withhold"
                                                                   : "Storm");
         cell.config =
-            AdversarialConfig(protocol, seed, Mitigations{true, true, true});
+            AdversarialConfig(protocol, seed, Mitigations{true, true});
         cell.plan = AdversarialPlan(seed, attack);
         cell.options = AdversarialOptions(cell.name, false, -1);
         cells.push_back(std::move(cell));

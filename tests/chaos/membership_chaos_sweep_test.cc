@@ -55,8 +55,7 @@ harness::ClusterConfig ElasticConfig(raft::Protocol protocol, uint64_t seed,
   // disrupted-server problem. Elastic clusters run the full mitigation
   // stack so a removed node cannot depose working leaders.
   config.pre_vote = true;
-  config.check_quorum = true;
-  config.leader_lease = true;
+  config.check_quorum_lease = true;
   // Membership state must survive crashes: a non-durable node would wake
   // up believing the bootstrap roster, forking the configuration history.
   // Elastic clusters therefore always run on the simulated durable disks
@@ -360,8 +359,7 @@ TEST(ElasticScaleTest, TightLagSeatsBothLearnersUnderSaturatingLoad) {
     config.seed = 271828;
     config.release_payloads = true;
     config.pre_vote = true;
-    config.check_quorum = true;
-    config.leader_lease = true;
+    config.check_quorum_lease = true;
     harness::Cluster cluster(config);
     cluster.Start();
     ASSERT_TRUE(cluster.AwaitLeader());

@@ -76,8 +76,7 @@ TEST_P(BoundedRecoveryTest, SurvivorsProgressWithinTwoHeartbeatsOfElection) {
   ASSERT_GE(follower, 0);
 
   const uint64_t completed_at_election = CompletedRequests(cluster);
-  const SimDuration bound =
-      2 * cluster.node(new_leader)->options().heartbeat_interval;
+  const SimDuration bound = 2 * raft::kHeartbeatInterval;
   cluster.sim()->RunUntil(elected_at + bound);
 
   EXPECT_EQ(cluster.leader(), cluster.node(new_leader))

@@ -19,13 +19,11 @@ namespace {
 
 using raft_test::MockNodeContext;
 
-RaftOptions MitigationOptions(bool pre_vote, bool check_quorum,
-                              bool leader_lease) {
+RaftOptions MitigationOptions(bool pre_vote, bool check_quorum_lease) {
   RaftOptions options;
   options.election_timeout = Millis(150);
   options.pre_vote = pre_vote;
-  options.check_quorum = check_quorum;
-  options.leader_lease = leader_lease;
+  options.check_quorum_lease = check_quorum_lease;
   return options;
 }
 
@@ -47,7 +45,7 @@ TEST(PreVoteTest, CanvassNeverTouchesTermOrVote) {
   // a single term: this is exactly what defuses the disruptive server.
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(true, false, false));
+                      MitigationOptions(true, false));
   ctx.election()->ArmElectionTimer();
   sim.RunUntil(Seconds(3));
 
@@ -69,7 +67,7 @@ TEST(PreVoteTest, CanvassNeverTouchesTermOrVote) {
 TEST(PreVoteTest, QuorumOfPreVotesStartsARealElection) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(true, false, false));
+                      MitigationOptions(true, false));
   ctx.election()->OnElectionTimeout();
   EXPECT_EQ(ctx.core().current_term, 0);  // Canvass in flight, no mint.
   ASSERT_EQ(ctx.SentOfType<RequestVoteRequest>().size(), 2u);
@@ -95,7 +93,7 @@ TEST(PreVoteTest, QuorumOfPreVotesStartsARealElection) {
 TEST(PreVoteTest, RejectionsNeverAccumulateIntoAnElection) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3, 4, 5},
-                      MitigationOptions(true, false, false));
+                      MitigationOptions(true, false));
   ctx.election()->OnElectionTimeout();
 
   RequestVoteResponse resp;
@@ -117,7 +115,7 @@ TEST(PreVoteTest, RejectionsNeverAccumulateIntoAnElection) {
 TEST(PreVoteTest, VoterGrantsWithoutMovingItsOwnState) {
   sim::Simulator sim(7);
   MockNodeContext voter(&sim, /*id=*/1, {2, 3},
-                        MitigationOptions(true, false, false));
+                        MitigationOptions(true, false));
   voter.election()->HandleRequestVote(VoteRequest(1, 2, /*pre_vote=*/true));
 
   auto responses = voter.SentOfType<RequestVoteResponse>();
@@ -147,7 +145,7 @@ TEST(PreVoteTest, VoterGrantsWithoutMovingItsOwnState) {
 TEST(LeaderLeaseTest, RejectsVoteWithoutAdoptingInflatedTerm) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(false, false, true));
+                      MitigationOptions(false, true));
   // Advance off t=0 so the contact timestamp is distinguishable from the
   // "never heard a leader" sentinel.
   sim.RunUntil(Millis(1));
@@ -175,7 +173,7 @@ TEST(LeaderLeaseTest, RejectsVoteWithoutAdoptingInflatedTerm) {
 TEST(LeaderLeaseTest, ExpiresOneElectionTimeoutAfterLastContact) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(false, false, true));
+                      MitigationOptions(false, true));
   sim.RunUntil(Millis(1));
   ctx.election()->NoteLeaderContact(1, 2);
   EXPECT_TRUE(ctx.election()->LeaseHeld());
@@ -192,7 +190,7 @@ TEST(LeaderLeaseTest, ExpiresOneElectionTimeoutAfterLastContact) {
 TEST(LeaderLeaseTest, DisabledOptionLeavesVotingUntouched) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(false, false, false));
+                      MitigationOptions(false, false));
   sim.RunUntil(Millis(1));
   ctx.election()->NoteLeaderContact(1, 2);
 
@@ -210,7 +208,7 @@ TEST(LeaderLeaseTest, DisabledOptionLeavesVotingUntouched) {
 TEST(VoteWithholderTest, RefusesVotesAndPreVotesButKeepsTermBookkeeping) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(true, false, false));
+                      MitigationOptions(true, false));
   ctx.election()->set_withhold_votes(true);
 
   ctx.election()->HandleRequestVote(VoteRequest(2, 3, /*pre_vote=*/true));
@@ -239,7 +237,7 @@ TEST(VoteWithholderTest, RefusesVotesAndPreVotesButKeepsTermBookkeeping) {
 TEST(CheckQuorumTest, DeafLeaderAbdicatesInItsOwnTerm) {
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(false, true, false));
+                      MitigationOptions(false, true));
   // Win a real election so BecomeLeader arms the check-quorum timer.
   ctx.election()->StartElection();
   RequestVoteResponse granted;
@@ -263,7 +261,7 @@ TEST(CheckQuorumTest, DeafLeaderAbdicatesInItsOwnTerm) {
 
 TEST(CheckQuorumTest, HealthyClusterLeaderNeverAbdicates) {
   harness::ClusterConfig config = raft_test::SmallConfig();
-  config.check_quorum = true;
+  config.check_quorum_lease = true;
   config.workload.series_count = 10;
   harness::Cluster cluster(config);
   cluster.Start();
@@ -281,7 +279,7 @@ TEST(CheckQuorumTest, HealthyClusterLeaderNeverAbdicates) {
 
 TEST(CheckQuorumTest, IsolatedClusterLeaderStepsDownAndClusterMovesOn) {
   harness::ClusterConfig config = raft_test::SmallConfig();
-  config.check_quorum = true;
+  config.check_quorum_lease = true;
   harness::Cluster cluster(config);
   cluster.Start();
   ASSERT_TRUE(cluster.AwaitLeader(Seconds(5)));
@@ -313,7 +311,7 @@ TEST(ElectionJitterTest, JitterIsDrawnPerArmingNotPerNode) {
   // resonance an election storm needs.
   sim::Simulator sim(7);
   MockNodeContext ctx(&sim, /*id=*/1, {2, 3},
-                      MitigationOptions(false, false, false));
+                      MitigationOptions(false, false));
   ctx.election()->ArmElectionTimer();
 
   std::vector<SimTime> starts;
