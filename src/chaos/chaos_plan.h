@@ -67,21 +67,9 @@ struct ChaosPlan {
   /// -1 = keep a quorum alive, i.e. (num_nodes - 1) / 2.
   int max_concurrent_crashes = -1;
 
-  /// Intensities.
-  double drop_storm_probability = 0.25;
-  SimDuration delay_storm_extra = Millis(10);
-  double skew_min = 0.5;   ///< Election-timer scale lower bound.
-  double skew_max = 2.5;   ///< Upper bound (> 1 = sluggish node).
-  double slow_factor = 0.25;  ///< CPU speed during kSlowNode (< 1 = slow).
-  int flap_cycles = 4;        ///< Cut/heal cycles per kLinkFlap.
-  SimDuration disk_stall_extra = Millis(5);  ///< Added to every fsync.
-  /// Corruption budget per run: each corruption truncates one node's log
-  /// tail, so more than one per run can cut a quorum's worth of copies of
-  /// the same entry (safety requires a quorum of intact replicas).
-  int max_disk_corruptions = 1;
-  /// Isolate/rejoin cycles per kElectionStorm (each cycle targets whoever
-  /// is leader at that moment, ending healed).
-  int storm_cycles = 3;
+  /// Added to every fsync during kDiskStall. The other intensities are
+  /// constants in nemesis.cc.
+  SimDuration disk_stall_extra = Millis(5);
 
   const std::vector<FaultKind>& EffectiveMix() const;
 };

@@ -6,6 +6,25 @@
 
 namespace nbraft::chaos {
 
+namespace {
+
+// Fault intensities.
+constexpr double kDropStormProbability = 0.25;
+constexpr SimDuration kDelayStormExtra = Millis(10);
+constexpr double kSkewMin = 0.5;  ///< Election-timer scale lower bound.
+constexpr double kSkewMax = 2.5;  ///< Upper bound (> 1 = sluggish node).
+constexpr double kSlowFactor = 0.25;  ///< CPU speed during kSlowNode.
+constexpr int kFlapCycles = 4;        ///< Cut/heal cycles per kLinkFlap.
+/// Corruption budget per run: each corruption truncates one node's log
+/// tail, so more than one per run can cut a quorum's worth of copies of
+/// the same entry (safety requires a quorum of intact replicas).
+constexpr int kMaxDiskCorruptions = 1;
+/// Isolate/rejoin cycles per kElectionStorm (each cycle targets whoever is
+/// leader at that moment, ending healed).
+constexpr int kStormCycles = 3;
+
+}  // namespace
+
 Nemesis::Nemesis(harness::Cluster* cluster, ChaosPlan plan)
     : cluster_(cluster), plan_(std::move(plan)), rng_(plan_.seed) {
   NBRAFT_CHECK_GE(plan_.max_gap, plan_.min_gap);
@@ -198,15 +217,15 @@ bool Nemesis::InjectPartition(bool one_way, SimDuration duration) {
 bool Nemesis::InjectLinkFlap(SimDuration duration) {
   net::NodeId a, b;
   if (!PickUpPair(&a, &b)) return false;
-  const int cycles = std::max(plan_.flap_cycles, 1);
-  // The link toggles cut -> healed `cycles` times over `duration`, ending
+  // The link toggles cut -> healed kFlapCycles times over `duration`, ending
   // healed. Intermediate toggles stop silently if the flap was healed.
-  const SimDuration half = std::max<SimDuration>(duration / (2 * cycles), 1);
+  const SimDuration half =
+      std::max<SimDuration>(duration / (2 * kFlapCycles), 1);
   cluster_->network()->SetLinkCut(a, b, true);
   const uint64_t id = next_cut_id_++;
   active_cuts_.push_back({id, a, b, /*one_way=*/false});
-  Record(FaultKind::kLinkFlap, /*heal=*/false, a, b, cycles);
-  for (int t = 1; t < 2 * cycles; ++t) {
+  Record(FaultKind::kLinkFlap, /*heal=*/false, a, b, kFlapCycles);
+  for (int t = 1; t < 2 * kFlapCycles; ++t) {
     const bool cut = (t % 2) == 0;
     cluster_->sim()->After(half * t, [this, id, cut]() {
       auto it = std::find_if(active_cuts_.begin(), active_cuts_.end(),
@@ -215,7 +234,7 @@ bool Nemesis::InjectLinkFlap(SimDuration duration) {
       cluster_->network()->SetLinkCut(it->a, it->b, cut);
     });
   }
-  cluster_->sim()->After(half * (2 * cycles), [this, id]() {
+  cluster_->sim()->After(half * (2 * kFlapCycles), [this, id]() {
     auto it = std::find_if(active_cuts_.begin(), active_cuts_.end(),
                            [id](const ActiveCut& c) { return c.id == id; });
     if (it == active_cuts_.end()) return;
@@ -228,10 +247,9 @@ bool Nemesis::InjectLinkFlap(SimDuration duration) {
 
 bool Nemesis::InjectDropStorm(SimDuration duration) {
   ++active_drop_storms_;
-  cluster_->network()->set_drop_probability(plan_.drop_storm_probability);
+  cluster_->network()->set_drop_probability(kDropStormProbability);
   Record(FaultKind::kDropStorm, /*heal=*/false, net::kInvalidNode,
-         net::kInvalidNode,
-         static_cast<int64_t>(plan_.drop_storm_probability * 1000));
+         net::kInvalidNode, static_cast<int64_t>(kDropStormProbability * 1000));
   cluster_->sim()->After(duration, [this]() {
     if (active_drop_storms_ == 0) return;  // HealAll got there first.
     if (--active_drop_storms_ == 0) {
@@ -246,9 +264,9 @@ bool Nemesis::InjectDropStorm(SimDuration duration) {
 
 bool Nemesis::InjectDelayStorm(SimDuration duration) {
   ++active_delay_storms_;
-  cluster_->network()->set_extra_delay(plan_.delay_storm_extra);
+  cluster_->network()->set_extra_delay(kDelayStormExtra);
   Record(FaultKind::kDelayStorm, /*heal=*/false, net::kInvalidNode,
-         net::kInvalidNode, plan_.delay_storm_extra);
+         net::kInvalidNode, kDelayStormExtra);
   cluster_->sim()->After(duration, [this]() {
     if (active_delay_storms_ == 0) return;
     if (--active_delay_storms_ == 0) {
@@ -263,8 +281,7 @@ bool Nemesis::InjectDelayStorm(SimDuration duration) {
 bool Nemesis::InjectClockSkew(SimDuration duration) {
   const net::NodeId victim = PickUpNode();
   if (victim == net::kInvalidNode) return false;
-  const double skew =
-      plan_.skew_min + rng_.NextDouble() * (plan_.skew_max - plan_.skew_min);
+  const double skew = kSkewMin + rng_.NextDouble() * (kSkewMax - kSkewMin);
   cluster_->SetTimerSkewAt(victim, skew);
   ++active_skew_[victim];
   Record(FaultKind::kClockSkew, /*heal=*/false, victim, net::kInvalidNode,
@@ -285,10 +302,10 @@ bool Nemesis::InjectClockSkew(SimDuration duration) {
 bool Nemesis::InjectSlowNode(SimDuration duration) {
   const net::NodeId victim = PickUpNode();
   if (victim == net::kInvalidNode) return false;
-  cluster_->SetCpuSpeedFactorAt(victim, plan_.slow_factor);
+  cluster_->SetCpuSpeedFactorAt(victim, kSlowFactor);
   ++active_slow_[victim];
   Record(FaultKind::kSlowNode, /*heal=*/false, victim, net::kInvalidNode,
-         static_cast<int64_t>(plan_.slow_factor * 1000));
+         static_cast<int64_t>(kSlowFactor * 1000));
   cluster_->sim()->After(duration, [this, victim]() {
     auto it = active_slow_.find(victim);
     if (it == active_slow_.end()) return;
@@ -324,7 +341,7 @@ bool Nemesis::InjectDiskStall(SimDuration duration) {
 }
 
 bool Nemesis::InjectDiskCorruption(SimDuration duration) {
-  if (corruptions_injected_ >= plan_.max_disk_corruptions) return false;
+  if (corruptions_injected_ >= kMaxDiskCorruptions) return false;
   if (crashed_count() >= MaxConcurrentCrashes()) return false;
   const net::NodeId victim = PickUpNode();
   if (victim == net::kInvalidNode) return false;
@@ -424,15 +441,15 @@ bool Nemesis::InjectElectionStorm(SimDuration duration) {
   // fault fingerprint stays schedule-shaped, not leader-identity-shaped.
   raft::RaftNode* leader = cluster_->leader();
   if (leader == nullptr) return false;
-  const int cycles = std::max(plan_.storm_cycles, 1);
-  const SimDuration half = std::max<SimDuration>(duration / (2 * cycles), 1);
+  const SimDuration half =
+      std::max<SimDuration>(duration / (2 * kStormCycles), 1);
   const net::NodeId first_victim = leader->id();
   SetIsolated(first_victim, true);
   const uint64_t id = next_cut_id_++;
   active_isolations_.push_back({id, first_victim, FaultKind::kElectionStorm});
   Record(FaultKind::kElectionStorm, /*heal=*/false, first_victim,
-         net::kInvalidNode, cycles);
-  for (int t = 1; t < 2 * cycles; ++t) {
+         net::kInvalidNode, kStormCycles);
+  for (int t = 1; t < 2 * kStormCycles; ++t) {
     const bool cut = (t % 2) == 0;
     cluster_->sim()->After(half * t, [this, id, cut]() {
       auto it = std::find_if(
@@ -452,7 +469,7 @@ bool Nemesis::InjectElectionStorm(SimDuration duration) {
       }
     });
   }
-  cluster_->sim()->After(half * (2 * cycles), [this, id]() {
+  cluster_->sim()->After(half * (2 * kStormCycles), [this, id]() {
     auto it = std::find_if(
         active_isolations_.begin(), active_isolations_.end(),
         [id](const ActiveIsolation& iso) { return iso.id == id; });

@@ -67,7 +67,7 @@ Cluster::Cluster(ClusterConfig config)
   if (config_.profile == SystemProfile::kRatis) {
     // Ratis holds a heavier lock during indexing (paper Sec. II-F), moving
     // queue time into t_idx.
-    options.costs.index_cost = Micros(12);
+    options.index_cost = Micros(12);
   }
 
   Substrate::Config sub;
@@ -76,7 +76,6 @@ Cluster::Cluster(ClusterConfig config)
   sub.num_physical_nodes = config_.num_nodes;
   sub.cpu_lanes = config_.cpu_lanes;
   sub.cpu_speed = config_.cpu_speed;
-  sub.costs = options.costs;
   substrate_ = std::make_unique<Substrate>(sub);
 
   if (config_.geo_distributed) {

@@ -1,7 +1,5 @@
 #include "harness/experiment.h"
 
-#include <cstdio>
-
 #include "common/logging.h"
 
 namespace nbraft::harness {
@@ -87,17 +85,6 @@ LossResult RunLossExperiment(const ClusterConfig& config, SimDuration run_time,
                   static_cast<double>(out.requests_issued);
   }
   return out;
-}
-
-std::string FormatRow(const std::string& label, double x,
-                      const ThroughputResult& r) {
-  // Client-visible latency is the unblock latency: under NB-Raft the call
-  // returns at WEAK_ACCEPT (Sec. III-B2); under Raft the two coincide.
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%-16s %8.0f | %9.2f kop/s | latency %8.2f ms",
-                label.c_str(), x, r.throughput_kops, r.unblock_latency_ms);
-  return buf;
 }
 
 }  // namespace nbraft::harness

@@ -1,9 +1,6 @@
 #ifndef NBRAFT_HARNESS_EXPERIMENT_H_
 #define NBRAFT_HARNESS_EXPERIMENT_H_
 
-#include <string>
-#include <vector>
-
 #include "harness/cluster.h"
 
 namespace nbraft::harness {
@@ -40,10 +37,6 @@ struct LossResult {
 /// issued requests survive in the new leader's log.
 LossResult RunLossExperiment(const ClusterConfig& config, SimDuration run_time,
                              SimDuration settle = Seconds(8));
-
-/// Formats a throughput table row used by the figure benchmarks.
-std::string FormatRow(const std::string& label, double x,
-                      const ThroughputResult& r);
 
 }  // namespace nbraft::harness
 

@@ -22,8 +22,7 @@ Substrate::Substrate(const Config& config) : config_(config) {
   for (int p = 0; p < config_.num_physical_nodes; ++p) {
     auto cpu = std::make_unique<sim::CpuExecutor>(
         sim_.get(), config_.cpu_lanes, "host" + std::to_string(p) + ".cpu");
-    cpu->set_switch_cost(config_.costs.context_switch_cost,
-                         config_.costs.max_switch_overhead);
+    cpu->set_switch_cost(raft::kContextSwitchCost, raft::kMaxSwitchOverhead);
     if (config_.cpu_speed != 1.0) cpu->set_speed_factor(config_.cpu_speed);
     host_cpus_.push_back(std::move(cpu));
     host_io_lanes_.push_back(std::make_unique<sim::CpuExecutor>(

@@ -26,8 +26,6 @@ class Substrate {
     int num_physical_nodes = 3;
     int cpu_lanes = 16;
     double cpu_speed = 1.0;
-    /// Switch costs for the host pools (the replicas' CostModel).
-    raft::CostModel costs;
   };
 
   explicit Substrate(const Config& config);

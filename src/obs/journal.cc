@@ -140,13 +140,11 @@ Journal::Journal(const sim::Simulator* sim, int num_nodes, Options options)
 
 void Journal::Record(JournalEventKind kind, int32_t node, int32_t peer,
                      int64_t a, int64_t b) {
-  if (!enabled_) return;
   RecordAt(sim_ != nullptr ? sim_->Now() : 0, kind, node, peer, a, b);
 }
 
 void Journal::RecordAt(SimTime at, JournalEventKind kind, int32_t node,
                        int32_t peer, int64_t a, int64_t b) {
-  if (!enabled_) return;
   int32_t ring_index = node;
   if (node < 0) {
     ring_index = num_nodes_;  // cluster-level

@@ -125,9 +125,6 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
   /// Stamped with the simulator's current virtual time. Events with a
   /// negative `node` land in the shared cluster ring; ids at or above
   /// num_nodes (client endpoints: replica ids never reach it) land in the
@@ -208,7 +205,6 @@ class Journal {
 
   const sim::Simulator* sim_;
   int num_nodes_;
-  bool enabled_ = true;
   GroupResolver group_resolver_;
   /// [0..num_nodes-1] replicas, [num_nodes] cluster, [num_nodes+1] clients.
   std::vector<Ring> rings_;

@@ -12,7 +12,6 @@ Tracer::Tracer(size_t span_capacity) {
 void Tracer::RecordSpan(metrics::Phase phase, int32_t node, int64_t term,
                         int64_t index, uint64_t request_id, SimTime start,
                         SimTime end) {
-  if (!enabled_) return;
   if (spans_recorded_ >= span_ring_.size()) ++spans_dropped_;
   span_ring_[span_head_] =
       SpanEvent{phase, node, term, index, request_id, start, end};

@@ -41,9 +41,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
   void RecordSpan(metrics::Phase phase, int32_t node, int64_t term,
                   int64_t index, uint64_t request_id, SimTime start,
                   SimTime end);
@@ -58,7 +55,6 @@ class Tracer {
   void Clear();
 
  private:
-  bool enabled_ = true;
   std::vector<SpanEvent> span_ring_;
   size_t span_head_ = 0;  ///< Next write position.
   uint64_t spans_recorded_ = 0;

@@ -9,6 +9,13 @@
 
 namespace nbraft::raft {
 
+namespace {
+
+/// t_commit bookkeeping per commit advance, on the general CPU pool.
+constexpr SimDuration kCommitCost = Micros(1);
+
+}  // namespace
+
 void CommitApplier::OnLeaderAppended(storage::LogIndex index) {
   entry_timing_[index].indexed_at = ctx_->Now();
 }
@@ -57,10 +64,10 @@ void CommitApplier::CommitIndices(
     ctx_->stats().entries_committed +=
         static_cast<uint64_t>(index - core.commit_index);
     core.commit_index = index;
-    ctx_->cpu()->Consume(ctx_->options().costs.commit_cost);
+    ctx_->cpu()->Consume(kCommitCost);
     const int64_t trace_term = ctx_->TraceTermAt(index);
     ctx_->TracePhase(metrics::Phase::kCommit, ctx_->Now(),
-                     ctx_->Now() + ctx_->options().costs.commit_cost,
+                     ctx_->Now() + kCommitCost,
                      trace_term, index);
 
     if (const EntryTiming* timing = entry_timing_.Find(index);
@@ -142,7 +149,7 @@ void CommitApplier::MaybeTakeSnapshot() {
   // Fragment replicas hold no applicable state — a snapshot taken there
   // would be empty. Snapshot-based compaction is a full-replication
   // feature (CRaft pairs it with fragment reconstruction instead).
-  if (ctx_->options().erasure) return;
+  if (ErasureCoded(ctx_->options().protocol)) return;
   storage::RaftLog& log = ctx_->log();
   const storage::LogIndex applied = core.apply_scheduled_up_to;
   if (applied - log.FirstIndex() + 1 <= ctx_->options().snapshot_threshold) {
@@ -154,8 +161,8 @@ void CommitApplier::MaybeTakeSnapshot() {
   core.snapshot_index = applied;
   core.snapshot_term = log.TermAt(applied).value_or(0);
   ++ctx_->stats().snapshots_taken;
-  ctx_->cpu()->Consume(PerKib(ctx_->options().costs.snapshot_cost_per_kib,
-                              core.snapshot_data.size()));
+  ctx_->cpu()->Consume(
+      PerKib(kSnapshotCostPerKib, core.snapshot_data.size()));
   ctx_->PersistSnapshot(core.snapshot_index, core.snapshot_term,
                         core.snapshot_data, /*installed=*/false);
 

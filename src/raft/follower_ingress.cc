@@ -11,6 +11,14 @@
 namespace nbraft::raft {
 namespace {
 
+/// Lock cost of caching one entry in the sliding window.
+constexpr SimDuration kWindowInsertCost = Nanos(500);
+/// VGRaft: per-entry signature check (parallel, on the CPU pool) and the
+/// serialized admission of a verified entry into consensus (charged on
+/// the log-lock lane; dominates VGRaft's throughput ceiling).
+constexpr SimDuration kVerifyCost = Micros(90);
+constexpr SimDuration kVerifyAdmissionCost = Micros(18);
+
 /// A configuration entry takes effect the moment it is appended — on
 /// followers exactly as on the leader (Raft Sec. 6: a server always uses
 /// the latest configuration in its log).
@@ -131,13 +139,10 @@ void FollowerIngress::HandleAppendEntries(AppendEntriesRequest req,
   // a verified entry into consensus serializes with the log handling —
   // the "heavy overhead" of per-consensus verification groups the paper
   // measures as VGRaft's weakness.
-  if (ctx_->options().verify_group && req.signed_payload) {
+  if (SignsEntries(ctx_->options().protocol) && req.signed_payload) {
     const SimDuration verify_cost =
-        PerKib(ctx_->options().costs.hash_cost_per_kib,
-               req.entry.WireSize()) +
-        ctx_->options().costs.verify_cost;
-    ctx_->log_lock_lane()->Consume(
-        ctx_->options().costs.verify_admission_cost);
+        PerKib(kHashCostPerKib, req.entry.WireSize()) + kVerifyCost;
+    ctx_->log_lock_lane()->Consume(kVerifyAdmissionCost);
     const uint64_t epoch = core.epoch;
     ctx_->cpu()->Submit(verify_cost, [this, epoch, received_at,
                                       req = std::move(req)]() mutable {
@@ -221,7 +226,7 @@ void FollowerIngress::ProcessEntry(const AppendEntriesRequest& req,
           ctx_->stats().learner_gap_max, static_cast<uint64_t>(diff));
     }
     window_.Insert(entry, received_at);
-    ctx_->log_lock_lane()->Consume(ctx_->options().costs.window_insert_cost);
+    ctx_->log_lock_lane()->Consume(kWindowInsertCost);
     ++ctx_->stats().window_inserts;
     ++ctx_->stats().weak_accepts_sent;
     RespondAppend(req, AcceptState::kWeakAccept, entry.index, entry.term);
@@ -294,8 +299,7 @@ void FollowerIngress::AppendAndFlush(const AppendEntriesRequest& req,
   // Every append wakes the appender threads blocked on the log lock so
   // they can re-check their held entries — the resource drain of original
   // Raft's blocking under concurrency.
-  cost += ctx_->options().costs.held_wakeup_cost *
-          static_cast<SimDuration>(held_entries_.size());
+  cost += kHeldWakeupCost * static_cast<SimDuration>(held_entries_.size());
 
   SubmitStrongAccept(req, new_last, new_last_term, cost);
 
@@ -480,8 +484,8 @@ void FollowerIngress::HandleInstallSnapshot(InstallSnapshotRequest req) {
     ctx_->ClearHealQuarantine();
   }
 
-  const SimDuration cost = PerKib(ctx_->options().costs.snapshot_cost_per_kib,
-                                  core.snapshot_data.size());
+  const SimDuration cost =
+      PerKib(kSnapshotCostPerKib, core.snapshot_data.size());
   const uint64_t epoch = core.epoch;
   resp.installed = true;
   resp.last_index = log.LastIndex();
@@ -494,9 +498,8 @@ void FollowerIngress::HandleInstallSnapshot(InstallSnapshotRequest req) {
 
 SimDuration FollowerIngress::FollowerAppendCost(
     const storage::LogEntry& entry) const {
-  return ctx_->options().costs.follower_append_base +
-         PerKib(ctx_->options().costs.follower_append_per_kib,
-                entry.WireSize());
+  return kFollowerAppendBase +
+         PerKib(kFollowerAppendPerKib, entry.WireSize());
 }
 
 }  // namespace nbraft::raft

@@ -11,6 +11,18 @@
 
 namespace nbraft::raft {
 
+/// Follower append cost. Appends serialize on the follower's log lock (the
+/// paper's Fig. 3: the blue waiting loop "is controlled by Follower's
+/// Log, which is accessed by multiple appenders").
+inline constexpr SimDuration kFollowerAppendBase = Micros(8);
+inline constexpr SimDuration kFollowerAppendPerKib = Micros(2);
+/// Cost, per blocked (held) entry, that every append pays on the log
+/// lock: each append wakes all waiting appender threads so they can
+/// re-check appendability. This is how original Raft's blocking burns
+/// follower capacity as concurrency grows; NB-Raft's window keeps the
+/// held set empty and skips the cost.
+inline constexpr SimDuration kHeldWakeupCost = Nanos(600);
+
 /// The follower side of the append path: the decision tree for arriving
 /// entries (duplicate / truncate-and-replace / direct append / sliding
 /// window / held), the paper's blue waiting loop over held entries, the

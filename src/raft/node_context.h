@@ -211,6 +211,12 @@ inline SimDuration PerKib(SimDuration per_kib, size_t bytes) {
          static_cast<SimDuration>(kKibibyte);
 }
 
+/// Serialize / restore cost of snapshot state, per KiB (taking a snapshot
+/// on the applier, installing one on the follower).
+inline constexpr SimDuration kSnapshotCostPerKib = Micros(2);
+/// VGRaft entry digest, per KiB (leader signing and follower verifying).
+inline constexpr SimDuration kHashCostPerKib = Micros(3);
+
 }  // namespace nbraft::raft
 
 #endif  // NBRAFT_RAFT_NODE_CONTEXT_H_

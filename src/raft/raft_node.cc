@@ -26,8 +26,7 @@ RaftNode::RaftNode(sim::Simulator* sim, net::SimNetwork* network,
       sim_, 1, "node" + std::to_string(id_) + ".apply");
   log_lock_lane_ = std::make_unique<sim::CpuExecutor>(
       sim_, 1, "node" + std::to_string(id_) + ".loglock");
-  log_lock_lane_->set_switch_cost(options_.costs.lock_switch_cost,
-                                  options_.costs.max_switch_overhead);
+  log_lock_lane_->set_switch_cost(kLockSwitchCost, kMaxSwitchOverhead);
   election_ = std::make_unique<ElectionEngine>(this);
   pipeline_ = std::make_unique<ReplicationPipeline>(this);
   ingress_ = std::make_unique<FollowerIngress>(this);

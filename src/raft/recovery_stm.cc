@@ -10,13 +10,23 @@
 
 namespace nbraft::raft {
 
+namespace {
+
+/// Cadence of recovery rounds while the learner makes progress.
+constexpr SimDuration kRecoveryInterval = Millis(10);
+/// Capped exponential backoff for rounds that observe no progress.
+constexpr SimDuration kRecoveryBackoffBase = Millis(20);
+constexpr SimDuration kRecoveryBackoffCap = Millis(500);
+
+}  // namespace
+
 void RecoveryStm::StartRecovery(net::NodeId learner) {
   if (ctx_->core().role != Role::kLeader) return;
   if (learners_.count(learner) != 0) return;
   LearnerState state;
   state.timer_epoch = 1;
   learners_[learner] = state;
-  ScheduleRound(learner, ctx_->options().membership.recovery_interval);
+  ScheduleRound(learner, kRecoveryInterval);
 }
 
 void RecoveryStm::StopRecovery(net::NodeId learner) {
@@ -112,7 +122,7 @@ void RecoveryStm::RunRound(net::NodeId learner) {
     }
     // Promotion blocked (another change in flight, or auto-promote off):
     // keep the learner warm and retry at the base cadence.
-    ScheduleRound(learner, opts.recovery_interval);
+    ScheduleRound(learner, kRecoveryInterval);
     return;
   }
 
@@ -140,15 +150,14 @@ void RecoveryStm::RunRound(net::NodeId learner) {
 }
 
 SimDuration RecoveryStm::NextDelay(const LearnerState& state) const {
-  const MembershipOptions& opts = ctx_->options().membership;
-  if (state.stalled_rounds == 0) return opts.recovery_interval;
+  if (state.stalled_rounds == 0) return kRecoveryInterval;
   // Deterministic capped exponential backoff: base * 2^(stalls-1).
-  SimDuration delay = opts.recovery_backoff_base;
+  SimDuration delay = kRecoveryBackoffBase;
   for (int i = 1; i < state.stalled_rounds; ++i) {
     delay *= 2;
-    if (delay >= opts.recovery_backoff_cap) break;
+    if (delay >= kRecoveryBackoffCap) break;
   }
-  return std::min(delay, opts.recovery_backoff_cap);
+  return std::min(delay, kRecoveryBackoffCap);
 }
 
 }  // namespace nbraft::raft

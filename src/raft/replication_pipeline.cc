@@ -11,6 +11,18 @@
 
 namespace nbraft::raft {
 
+namespace {
+
+/// Leader-side costs beyond t_idx (RaftOptions::index_cost).
+constexpr SimDuration kLeaderAppendPerKib = Micros(1);  ///< Local append.
+/// Erasure encoding (CRaft / ECRaft), per KiB of original payload.
+constexpr SimDuration kEncodeCostPerKib = Micros(10);
+/// VGRaft signing and verification-group selection, per entry.
+constexpr SimDuration kSignCost = Micros(70);
+constexpr SimDuration kGroupSelectCost = Micros(25);
+
+}  // namespace
+
 bool ReplicationPipeline::KnowsPeer(net::NodeId peer) {
   MembershipEngine* m = ctx_->membership();
   return m == nullptr || !m->active() || m->Knows(peer);
@@ -49,9 +61,8 @@ void ReplicationPipeline::HandleClientRequest(ClientRequest req,
         ctx_->TracePhase(metrics::Phase::kParse, parse_submitted, parse_done,
                          /*term=*/0, /*index=*/0, req.request_id);
         SimDuration index_cost =
-            ctx_->options().costs.index_cost +
-            PerKib(ctx_->options().costs.leader_append_per_kib,
-                   req.payload.size());
+            ctx_->options().index_cost +
+            PerKib(kLeaderAppendPerKib, req.payload.size());
         ctx_->index_lane()->Submit(
             index_cost,
             [this, epoch, parse_done, req = std::move(req)]() mutable {
@@ -94,10 +105,11 @@ void ReplicationPipeline::IndexAndReplicate(ClientRequest req) {
   const int alive = AliveNodes();
   const int dead = n - alive;
   int k = 0;  // 0 = full replication.
-  if (ctx_->options().erasure && n >= 3) {
+  const Protocol protocol = ctx_->options().protocol;
+  if (ErasureCoded(protocol) && n >= 3) {
     if (dead == 0) {
       k = f + 1;
-    } else if (ctx_->options().ecraft) {
+    } else if (CodesWhileDegraded(protocol)) {
       // ECRaft: keep coding in degraded mode with a smaller k when
       // possible; fall back to full replication otherwise.
       const int k_degraded = alive - (f - dead);
@@ -114,8 +126,8 @@ void ReplicationPipeline::IndexAndReplicate(ClientRequest req) {
     // Fragment the payload: the coder's CPU cost and shard sizes are
     // modelled, not computed.
     fragment_required_[entry.index] = k;
-    const SimDuration encode_cost = PerKib(
-        ctx_->options().costs.encode_cost_per_kib, entry.payload.size());
+    const SimDuration encode_cost =
+        PerKib(kEncodeCostPerKib, entry.payload.size());
     const uint64_t epoch = core.epoch;
     const storage::LogIndex index = entry.index;
     const size_t payload_size = entry.payload.size();
@@ -147,11 +159,9 @@ void ReplicationPipeline::IndexAndReplicate(ClientRequest req) {
 void ReplicationPipeline::ReplicateEntry(const storage::LogEntry& entry) {
   // VGRaft: hash + sign + verification-group selection before fan-out.
   SimDuration pre_cost = 0;
-  if (ctx_->options().verify_group) {
-    pre_cost =
-        PerKib(ctx_->options().costs.hash_cost_per_kib, entry.WireSize()) +
-        ctx_->options().costs.sign_cost +
-        ctx_->options().costs.group_select_cost;
+  if (SignsEntries(ctx_->options().protocol)) {
+    pre_cost = PerKib(kHashCostPerKib, entry.WireSize()) + kSignCost +
+               kGroupSelectCost;
   }
   const uint64_t epoch = ctx_->core().epoch;
   const storage::LogIndex index = entry.index;
@@ -247,7 +257,7 @@ void ReplicationPipeline::SendAppendRpc(net::NodeId peer,
   req.rpc_id = next_rpc_id_++;
   req.leader_commit = core.commit_index;
   req.commit_term = log.TermAt(core.commit_index).value_or(0);
-  req.signed_payload = ctx_->options().verify_group;
+  req.signed_payload = SignsEntries(ctx_->options().protocol);
   req.entry = log.AtUnchecked(index);
 
   // CRaft: swap the payload for this peer's shard while the entry is still
@@ -297,7 +307,7 @@ void ReplicationPipeline::SendAppendRpc(net::NodeId peer,
   const uint64_t rpc_id = req.rpc_id;
   const uint64_t epoch = core.epoch;
   const sim::EventId timeout_event =
-      ctx_->simulator()->After(ctx_->options().rpc_timeout,
+      ctx_->simulator()->After(kRpcTimeout,
                                [this, epoch, rpc_id]() {
                                  const CoreState& c = ctx_->core();
                                  if (c.crashed || epoch != c.epoch) return;
@@ -492,7 +502,7 @@ void ReplicationPipeline::MaybeCatchUpPeer(net::NodeId peer,
   storage::LogIndex end =
       std::min(log.LastIndex(),
                start + 4 * ctx_->options().dispatchers_per_follower);
-  if (ctx_->Now() - ps.last_advance_at > 2 * ctx_->options().rpc_timeout) {
+  if (ctx_->Now() - ps.last_advance_at > 2 * kRpcTimeout) {
     // Stagnant: every pipeline copy of the missing entries was consumed
     // without an append (cached in a window that was since cleared, or —
     // with durable disks — lost when a corrupted tail was repaired away on
@@ -530,7 +540,7 @@ void ReplicationPipeline::BroadcastHeartbeat() {
   const int alive = AliveNodes();
   if (alive != last_alive_seen_) {
     last_alive_seen_ = alive;
-    if (ctx_->options().erasure) {
+    if (ErasureCoded(ctx_->options().protocol)) {
       ctx_->applier()->vote_list().ForEach(
           [this](storage::LogIndex index, VoteList::Tuple* tuple) {
             const auto frag = fragment_required_.find(index);
@@ -590,7 +600,7 @@ void ReplicationPipeline::SendInstallSnapshot(net::NodeId peer) {
   const uint64_t epoch = core.epoch;
   // Snapshots are large: give them a generous multiple of the RPC timeout.
   const sim::EventId timeout_event = ctx_->simulator()->After(
-      4 * ctx_->options().rpc_timeout, [this, epoch, rpc_id]() {
+      4 * kRpcTimeout, [this, epoch, rpc_id]() {
         const CoreState& c = ctx_->core();
         if (c.crashed || epoch != c.epoch) return;
         OnRpcTimeout(rpc_id);
@@ -701,11 +711,10 @@ int ReplicationPipeline::RequiredStrong(bool fragmented, int k) {
 }
 
 int ReplicationPipeline::EffectiveKBucket() const {
-  if (ctx_->options().kbucket_size == 0) return 0;
+  if (!RelaysThroughKBucket(ctx_->options().protocol)) return 0;
   const int followers = static_cast<int>(ctx_->peer_ids().size());
   if (followers <= 1) return 0;  // Nothing to relay through (Fig. 15).
-  if (ctx_->options().kbucket_size < 0) return (followers + 1) / 2;
-  return std::min(ctx_->options().kbucket_size, followers);
+  return (followers + 1) / 2;
 }
 
 }  // namespace nbraft::raft

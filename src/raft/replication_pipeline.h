@@ -69,6 +69,8 @@ class ReplicationPipeline {
   /// the quorum once per election timeout).
   int PeersRespondedSince(SimTime since) const;
   int RequiredStrong(bool fragmented, int k);
+  /// KRaft's relay bucket: ceil((N-1)/2) followers. 0 (send to every
+  /// follower) for the other protocols and for a single follower.
   int EffectiveKBucket() const;
   const std::unordered_map<storage::LogIndex, int>& fragment_required()
       const {

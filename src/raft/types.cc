@@ -54,29 +54,9 @@ std::string_view ProtocolName(Protocol protocol) {
 
 RaftOptions OptionsForProtocol(Protocol protocol, int window_size) {
   RaftOptions options;
-  switch (protocol) {
-    case Protocol::kRaft:
-      break;
-    case Protocol::kNbRaft:
-      options.window_size = window_size;
-      break;
-    case Protocol::kCRaft:
-      options.erasure = true;
-      break;
-    case Protocol::kNbCRaft:
-      options.window_size = window_size;
-      options.erasure = true;
-      break;
-    case Protocol::kECRaft:
-      options.erasure = true;
-      options.ecraft = true;
-      break;
-    case Protocol::kKRaft:
-      options.kbucket_size = -1;  // Resolved to ceil((N-1)/2) by the node.
-      break;
-    case Protocol::kVGRaft:
-      options.verify_group = true;
-      break;
+  options.protocol = protocol;
+  if (protocol == Protocol::kNbRaft || protocol == Protocol::kNbCRaft) {
+    options.window_size = window_size;
   }
   return options;
 }

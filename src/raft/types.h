@@ -47,53 +47,46 @@ enum class Protocol {
 
 std::string_view ProtocolName(Protocol protocol);
 
-/// Modelled CPU costs of protocol work. The defaults are calibrated to a
-/// contemporary server core (paper testbed: Xeon Platinum 8260); the
-/// benchmark harness never needs to change them except for the Ratis
-/// profile (heavier indexing lock) and CPU experiments (speed factor).
-struct CostModel {
-  // Leader path.
-  SimDuration index_cost = Micros(3);  ///< t_idx per entry, on the serial
-                                       ///< indexing lane (models the lock).
-  SimDuration leader_append_per_kib = Micros(1);  ///< Local log append.
-  SimDuration commit_cost = Micros(1);            ///< t_commit bookkeeping.
+/// Variant predicates: the mechanisms each protocol adds to the one
+/// RaftNode. NB-Raft's sliding window is not among them; it is
+/// `RaftOptions::window_size`, which OptionsForProtocol sets for kNbRaft
+/// and kNbCRaft and which w = 0 turns back into original Raft.
+///
+/// CRaft, NB-Raft+CRaft and ECRaft replicate Reed-Solomon fragments.
+/// Fragments are modelled, not computed: their sizes and the coding CPU
+/// cost are charged, and their bytes are filler.
+constexpr bool ErasureCoded(Protocol protocol) {
+  return protocol == Protocol::kCRaft || protocol == Protocol::kNbCRaft ||
+         protocol == Protocol::kECRaft;
+}
+/// ECRaft keeps coding, with a smaller k, when replicas are down; CRaft
+/// falls back to full copies.
+constexpr bool CodesWhileDegraded(Protocol protocol) {
+  return protocol == Protocol::kECRaft;
+}
+/// KRaft sends each entry to a bucket of ceil((N-1)/2) followers, which
+/// relay it to the rest.
+constexpr bool RelaysThroughKBucket(Protocol protocol) {
+  return protocol == Protocol::kKRaft;
+}
+/// VGRaft hashes and signs every entry; followers verify it before
+/// admitting it.
+constexpr bool SignsEntries(Protocol protocol) {
+  return protocol == Protocol::kVGRaft;
+}
 
-  // Follower path. Appends serialize on the follower's log lock (the
-  // paper's Fig. 3: the blue waiting loop "is controlled by Follower's
-  // Log, which is accessed by multiple appenders").
-  SimDuration follower_append_base = Micros(8);
-  SimDuration follower_append_per_kib = Micros(2);
-  /// Serialize / restore cost of snapshot state, per KiB.
-  SimDuration snapshot_cost_per_kib = Micros(2);
-  /// Cost, per blocked (held) entry, that every append pays on the log
-  /// lock: each append wakes all waiting appender threads so they can
-  /// re-check appendability. This is how original Raft's blocking burns
-  /// follower capacity as concurrency grows; NB-Raft's window keeps the
-  /// held set empty and skips the cost.
-  SimDuration held_wakeup_cost = Nanos(600);
-  /// Lock cost of caching one entry in the sliding window.
-  SimDuration window_insert_cost = Nanos(500);
-
-  // Erasure encoding (CRaft / ECRaft): cost per KiB of original payload.
-  SimDuration encode_cost_per_kib = Micros(10);
-
-  // Verification (VGRaft).
-  SimDuration hash_cost_per_kib = Micros(3);
-  SimDuration sign_cost = Micros(70);
-  SimDuration verify_cost = Micros(90);
-  SimDuration group_select_cost = Micros(25);
-  /// Serialized admission of a verified entry into consensus (charged on
-  /// the log-handling lane; dominates VGRaft's throughput ceiling).
-  SimDuration verify_admission_cost = Micros(18);
-
-  /// Per-task scheduling overhead charged per concurrently outstanding CPU
-  /// task (context switching / cache pressure), saturating at
-  /// max_switch_overhead. This is what bends the throughput curve downward
-  /// past ~512 clients in Figs. 14/17/18.
-  SimDuration context_switch_cost = Nanos(120);
-  SimDuration lock_switch_cost = Nanos(300);
-  SimDuration max_switch_overhead = Micros(3);
-};
+/// Modelled CPU costs. Every cost constant in the engines (this group and
+/// the k*Cost constants next to their readers) is calibrated to a
+/// contemporary server core (paper testbed: Xeon Platinum 8260).
+///
+/// Scheduling overhead charged per concurrently outstanding task on a host
+/// CPU pool (context switching / cache pressure), saturating at
+/// kMaxSwitchOverhead. This is what bends the throughput curve downward
+/// past ~512 clients in Figs. 14/17/18.
+inline constexpr SimDuration kContextSwitchCost = Nanos(120);
+/// The same overhead per waiter on a replica's log-lock lane.
+inline constexpr SimDuration kLockSwitchCost = Nanos(300);
+inline constexpr SimDuration kMaxSwitchOverhead = Micros(3);
 
 /// Simulated durable-disk configuration. With `enabled` set, each node
 /// stores its durable log on a deterministic simulated disk: writes and
@@ -131,21 +124,25 @@ struct MembershipOptions {
   int64_t promotion_lag = 16;
   /// Recovery throttle: max log entries enqueued per recovery round.
   int recovery_max_entries_per_round = 32;
-  /// Cadence of recovery rounds while the learner makes progress.
-  SimDuration recovery_interval = Millis(10);
-  /// Capped exponential backoff for rounds that observe no progress.
-  SimDuration recovery_backoff_base = Millis(20);
-  SimDuration recovery_backoff_cap = Millis(500);
 };
 
 /// Leader heartbeat period. The leader's liveness estimate counts a peer
 /// silent for three periods as dead.
 inline constexpr SimDuration kHeartbeatInterval = Millis(50);
 
+/// Dispatcher RPC timeout before an entry is re-sent.
+inline constexpr SimDuration kRpcTimeout = Millis(400);
+
 /// Per-node protocol configuration. A single RaftNode implements every
-/// variant; the flags compose (NB-Raft + CRaft = window_size > 0 plus
-/// erasure = true), and all-flags-off with window_size = 0 is original Raft.
+/// variant: `protocol` selects the variant mechanisms (see the predicates
+/// above) and `window_size` the non-blocking window, so NB-Raft + CRaft is
+/// kNbCRaft with window_size > 0, and kRaft with window_size = 0 is
+/// original Raft.
 struct RaftOptions {
+  /// The protocol this replica runs. OptionsForProtocol sets it together
+  /// with the matching window size.
+  Protocol protocol = Protocol::kRaft;
+
   /// NB-Raft sliding-window size w; 0 reproduces original Raft exactly
   /// (paper Sec. III, contribution 3). The paper's default is 10000.
   int window_size = 0;
@@ -181,9 +178,6 @@ struct RaftOptions {
   /// uniformly from [election_timeout, 2 * election_timeout).
   SimDuration election_timeout = Millis(500);
 
-  /// Dispatcher RPC timeout before an entry is re-sent.
-  SimDuration rpc_timeout = Millis(400);
-
   // ---- Adversarial-resilience mitigations ----
   // Two switches, so ablations (attack x mitigation sweeps) can isolate
   // PreVote from the lease. All off by default: the default protocol is
@@ -207,15 +201,6 @@ struct RaftOptions {
   ///    actually lost the cluster.
   bool check_quorum_lease = false;
 
-  // ---- Variant flags ----
-  /// CRaft: replicate Reed-Solomon fragments. Fragments are modelled, not
-  /// computed: their sizes and the coding CPU cost (CostModel) are charged,
-  /// and their bytes are filler.
-  bool erasure = false;
-  bool ecraft = false;       ///< ECRaft: erasure-coded degraded mode too.
-  int kbucket_size = 0;      ///< KRaft: relay bucket size; 0 = off.
-  bool verify_group = false; ///< VGRaft: per-entry hash + signature.
-
   /// Drop applied entries' payload bytes to bound memory in long benchmark
   /// runs (metadata and modelled sizes are kept). Disable in tests that
   /// inspect payloads.
@@ -232,7 +217,9 @@ struct RaftOptions {
   /// default.
   MembershipOptions membership;
 
-  CostModel costs;
+  /// t_idx per entry, on the serial indexing lane (models the lock). The
+  /// Ratis profile holds a heavier lock (paper Sec. II-F).
+  SimDuration index_cost = Micros(3);
 };
 
 /// Canonical options for a protocol as configured in the paper's

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 namespace nbraft::baselines {
 namespace {
 
@@ -52,19 +55,36 @@ TEST(ProtocolRegistryTest, ProtocolNamesAreStable) {
   EXPECT_EQ(raft::ProtocolName(raft::Protocol::kVGRaft), "VGRaft");
 }
 
+// One row per protocol: the options OptionsForProtocol builds and the
+// variant mechanisms the predicates switch on.
 TEST(ProtocolRegistryTest, OptionsForProtocolConfiguresFlags) {
-  using raft::OptionsForProtocol;
   using raft::Protocol;
-  EXPECT_EQ(OptionsForProtocol(Protocol::kRaft).window_size, 0);
-  EXPECT_EQ(OptionsForProtocol(Protocol::kNbRaft).window_size, 10000);
-  EXPECT_TRUE(OptionsForProtocol(Protocol::kCRaft).erasure);
-  EXPECT_FALSE(OptionsForProtocol(Protocol::kCRaft).ecraft);
-  EXPECT_TRUE(OptionsForProtocol(Protocol::kECRaft).ecraft);
-  EXPECT_NE(OptionsForProtocol(Protocol::kKRaft).kbucket_size, 0);
-  EXPECT_TRUE(OptionsForProtocol(Protocol::kVGRaft).verify_group);
-  const auto combo = OptionsForProtocol(Protocol::kNbCRaft);
-  EXPECT_GT(combo.window_size, 0);
-  EXPECT_TRUE(combo.erasure);
+  struct Row {
+    Protocol protocol;
+    bool non_blocking, erasure, degraded_coding, kbucket, signs;
+  };
+  const Row rows[] = {
+      {Protocol::kRaft, false, false, false, false, false},
+      {Protocol::kNbRaft, true, false, false, false, false},
+      {Protocol::kCRaft, false, true, false, false, false},
+      {Protocol::kNbCRaft, true, true, false, false, false},
+      {Protocol::kECRaft, false, true, true, false, false},
+      {Protocol::kKRaft, false, false, false, true, false},
+      {Protocol::kVGRaft, false, false, false, false, true},
+  };
+  ASSERT_EQ(std::size(rows), AllProtocols().size());
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(raft::ProtocolName(row.protocol)));
+    const raft::RaftOptions options = raft::OptionsForProtocol(row.protocol);
+    EXPECT_EQ(options.protocol, row.protocol);
+    EXPECT_EQ(options.window_size, row.non_blocking ? 10000 : 0);
+    EXPECT_EQ(raft::OptionsForProtocol(row.protocol, 64).window_size,
+              row.non_blocking ? 64 : 0);
+    EXPECT_EQ(raft::ErasureCoded(row.protocol), row.erasure);
+    EXPECT_EQ(raft::CodesWhileDegraded(row.protocol), row.degraded_coding);
+    EXPECT_EQ(raft::RelaysThroughKBucket(row.protocol), row.kbucket);
+    EXPECT_EQ(raft::SignsEntries(row.protocol), row.signs);
+  }
 }
 
 }  // namespace

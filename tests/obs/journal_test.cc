@@ -199,14 +199,6 @@ TEST(JournalTest, MergedEventsInterleaveRingsInRecordOrder) {
   EXPECT_EQ(merged[3].node, 2);
 }
 
-TEST(JournalTest, DisabledJournalRecordsNothing) {
-  Journal journal(nullptr, 2);
-  journal.set_enabled(false);
-  journal.RecordAt(1, JournalEventKind::kCrash, 0);
-  EXPECT_EQ(journal.events_recorded(), 0u);
-  EXPECT_TRUE(journal.NodeEvents(0).empty());
-}
-
 // ---- JSONL / timeline export ---------------------------------------------
 
 TEST(JournalTest, JsonlLeadsWithMetaAndEmitsOneObjectPerLine) {

@@ -51,19 +51,6 @@ TEST(TracerTest, RingEvictsOldestAndCountsDropped) {
   }
 }
 
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  Tracer tracer;
-  tracer.set_enabled(false);
-  tracer.RecordSpan(Phase::kParse, 0, 1, 1, 1, 0, 10);
-
-  EXPECT_EQ(tracer.span_count(), 0u);
-  EXPECT_EQ(tracer.spans_recorded(), 0u);
-
-  tracer.set_enabled(true);
-  tracer.RecordSpan(Phase::kParse, 0, 1, 1, 1, 0, 10);
-  EXPECT_EQ(tracer.span_count(), 1u);
-}
-
 TEST(TracerTest, ClearResetsEverything) {
   Tracer tracer(/*span_capacity=*/2);
   for (int i = 0; i < 3; ++i) {

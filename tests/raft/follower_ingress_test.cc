@@ -156,14 +156,12 @@ TEST(FollowerIngressTest, DirectAppendFlushesTheWindowPrefix) {
 
 TEST(FollowerIngressTest, BeyondWindowEntryIsHeldUntilTheLogAdvances) {
   sim::Simulator sim(7);
-  RaftOptions options = IngressOptions(0);  // Original Raft: no window.
-  // Only the held-entry wakeup costs log-lock time.
-  options.costs.follower_append_base = 0;
-  options.costs.follower_append_per_kib = 0;
-  options.costs.held_wakeup_cost = Micros(7);
-  MockNodeContext ctx(&sim, kSelf, {kLeader, 3}, options);
+  // Original Raft: no window.
+  MockNodeContext ctx(&sim, kSelf, {kLeader, 3}, IngressOptions(0));
+  const AppendEntriesRequest first = Append(1, 1, 1, 0);
+  const AppendEntriesRequest held = Append(1, 2, 1, 1);
 
-  ctx.ingress()->HandleAppendEntries(Append(1, 2, 1, 1), sim.Now());
+  ctx.ingress()->HandleAppendEntries(held, sim.Now());
   Drain(&sim);
   EXPECT_TRUE(ctx.SentOfType<AppendEntriesResponse>().empty())
       << "a held entry keeps its RPC open";
@@ -172,7 +170,7 @@ TEST(FollowerIngressTest, BeyondWindowEntryIsHeldUntilTheLogAdvances) {
 
   // Appending 1 wakes the one held entry (charged on the log lock), which
   // is then appended in turn.
-  ctx.ingress()->HandleAppendEntries(Append(1, 1, 1, 0), sim.Now());
+  ctx.ingress()->HandleAppendEntries(first, sim.Now());
   EXPECT_EQ(ctx.log().LastIndex(), 2);
   Drain(&sim);
   const auto accepts = Replies(ctx, AcceptState::kStrongAccept);
@@ -181,8 +179,16 @@ TEST(FollowerIngressTest, BeyondWindowEntryIsHeldUntilTheLogAdvances) {
   EXPECT_EQ(accepts[1].entry_index, 2);
   EXPECT_EQ(accepts[1].last_index, 2);
   EXPECT_EQ(ctx.stats().window_overflows, 1u) << "a retry is no overflow";
+  // t_append(F) is both appends' log-lock time plus exactly one wakeup:
+  // the held entry was still blocked when 1 was appended, and nothing was
+  // held when it was appended itself.
+  ASSERT_GT(kHeldWakeupCost, 0) << "an uncharged wakeup would go unseen";
+  const SimDuration append_cost =
+      2 * kFollowerAppendBase +
+      PerKib(kFollowerAppendPerKib, first.entry.WireSize()) +
+      PerKib(kFollowerAppendPerKib, held.entry.WireSize());
   EXPECT_EQ(ctx.stats().breakdown.total(metrics::Phase::kAppendFollower),
-            Micros(7));
+            append_cost + kHeldWakeupCost);
 }
 
 TEST(FollowerIngressTest, PassedWindowEntryFlushesWithoutAWaitSample) {

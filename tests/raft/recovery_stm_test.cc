@@ -25,10 +25,7 @@ constexpr net::NodeId kLearner = 3;
 RaftOptions RecoveryOptions() {
   RaftOptions options;
   options.election_timeout = Millis(150);
-  options.membership.recovery_interval = Millis(10);
   options.membership.recovery_max_entries_per_round = 4;
-  options.membership.recovery_backoff_base = Millis(20);
-  options.membership.recovery_backoff_cap = Millis(160);
   options.membership.promotion_lag = 16;
   return options;
 }
@@ -94,11 +91,12 @@ TEST(RecoveryStmTest, StalledLearnerBacksOffDeterministically) {
   f.ctx.recovery()->StartRecovery(kLearner);
 
   // Delay scheduled after round r, with zero progress throughout: one
-  // fresh round at the base interval, then 20 * 2^(stalls-1) capped at
-  // 160 — a deterministic sequence, no jitter to desynchronize replays.
-  const std::vector<SimDuration> expected = {Millis(10),  Millis(20),
-                                             Millis(40),  Millis(80),
-                                             Millis(160), Millis(160)};
+  // fresh round at the 10 ms base interval, then 20 * 2^(stalls-1) ms
+  // capped at 500 — a deterministic sequence, no jitter to desynchronize
+  // replays.
+  const std::vector<SimDuration> expected = {
+      Millis(10),  Millis(20),  Millis(40),  Millis(80),
+      Millis(160), Millis(320), Millis(500), Millis(500)};
   for (size_t r = 0; r < expected.size(); ++r) {
     RunUntilRounds(&sim, &f, static_cast<int>(r) + 1);
     EXPECT_EQ(f.ctx.recovery()->CurrentDelay(kLearner), expected[r])

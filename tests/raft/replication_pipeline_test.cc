@@ -39,7 +39,6 @@ RaftOptions PipelineOptions(int dispatchers, int window) {
   RaftOptions options;
   options.dispatchers_per_follower = dispatchers;
   options.window_size = window;
-  options.rpc_timeout = Millis(100);
   return options;
 }
 
@@ -95,7 +94,7 @@ TEST(ReplicationPipelineTest, TimeoutRecyclingDispatchesMinIndexFirst) {
   // slot must pick the minimum queued index (2), not the recycled 5 —
   // otherwise an out-of-window entry can starve the catch-up entries the
   // follower actually needs.
-  sim.RunUntil(Millis(150));
+  sim.RunUntil(kRpcTimeout + Millis(50));
   auto appends = ctx.SentOfType<AppendEntriesRequest>();
   ASSERT_EQ(appends.size(), 2u);
   EXPECT_EQ(appends[1].entry.index, 2);
@@ -180,7 +179,7 @@ TEST(ReplicationPipelineTest, ShardRpcIsBilledItsWireSize) {
   sim::Simulator sim(1);
   net::SimNetwork network(&sim, net::NetworkConfig{});
   RaftOptions options = PipelineOptions(1, 0);
-  options.erasure = true;
+  options.protocol = Protocol::kCRaft;
   NetworkedContext ctx(&sim, &network, /*id=*/1, {2, 3}, options);
   ctx.MakeLeader(1);
 
@@ -258,7 +257,7 @@ TEST(ReplicationPipelineTest, TimeoutRequeuesBelowTheDispatchFloor) {
   EXPECT_EQ(ctx.pipeline()->DispatcherQueueDepth(), 3u);  // 6, 7, 8.
   EXPECT_EQ(ctx.pipeline()->OutstandingRpcCount(), 2u);   // 1 and 5.
 
-  sim.RunUntil(Millis(150));  // Both RPCs time out and re-queue.
+  sim.RunUntil(kRpcTimeout + Millis(50));  // Both time out and re-queue.
   appends = ctx.SentOfType<AppendEntriesRequest>();
   ASSERT_EQ(appends.size(), 7u);
   EXPECT_EQ(appends[5].entry.index, 1);
