@@ -58,12 +58,8 @@ Cluster::Cluster(ClusterConfig config)
   options.snapshot_threshold = config_.snapshot_threshold;
   options.snapshot_keep_tail = config_.snapshot_keep_tail;
   options.disk = config_.disk;
-  if (config_.promotion_lag >= 0) {
-    options.membership.promotion_lag = config_.promotion_lag;
-  }
-  if (config_.recovery_batch >= 0) {
-    options.membership.recovery_max_entries_per_round = config_.recovery_batch;
-  }
+  options.membership.promotion_lag = config_.promotion_lag;
+  options.membership.recovery_max_entries_per_round = config_.recovery_batch;
   if (config_.profile == SystemProfile::kRatis) {
     // Ratis holds a heavier lock during indexing (paper Sec. II-F), moving
     // queue time into t_idx.

@@ -41,17 +41,17 @@ struct ClusterConfig {
   /// brings them in as learners.
   int initial_voters = 0;
 
-  /// Learner promotion-lag override for elastic clusters; < 0 keeps the
-  /// MembershipOptions default. The WEAK_ACCEPT x learner-lag study
-  /// sweeps this to trade promotion latency against the amount of tail
-  /// the joint change must finish replicating.
-  int64_t promotion_lag = -1;
+  /// Learner promotion lag for elastic clusters, forwarded to
+  /// raft::MembershipOptions. The WEAK_ACCEPT x learner-lag study sweeps
+  /// this to trade promotion latency against the amount of tail the joint
+  /// change must finish replicating.
+  int64_t promotion_lag = raft::kDefaultPromotionLag;
 
-  /// Catch-up throttle override (max entries per recovery round); < 0
-  /// keeps the MembershipOptions default. A joining learner only
-  /// converges when this bandwidth exceeds the ingest rate, so elastic
-  /// benches provision it above the offered load.
-  int recovery_batch = -1;
+  /// Catch-up throttle (max entries per recovery round), forwarded to
+  /// raft::MembershipOptions. A joining learner only converges when this
+  /// bandwidth exceeds the ingest rate, so elastic benches provision it
+  /// above the offered load.
+  int recovery_batch = raft::kDefaultRecoveryBatch;
 
   raft::Protocol protocol = raft::Protocol::kRaft;
   int window_size = 10000;     ///< Paper default for NB variants.

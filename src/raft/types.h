@@ -112,6 +112,11 @@ struct DiskOptions {
   sim::CpuExecutor* shared_io_lane = nullptr;
 };
 
+/// Learner promotion lag and recovery throttle defaults, shared by
+/// MembershipOptions and harness::ClusterConfig (see the fields there).
+inline constexpr int64_t kDefaultPromotionLag = 16;
+inline constexpr int kDefaultRecoveryBatch = 32;
+
 /// Dynamic-membership configuration. Dormant (and behavior-fingerprint
 /// invisible) while `initial_config` is empty: the roster is then fixed
 /// at construction as peers + self, exactly as before.
@@ -121,9 +126,9 @@ struct MembershipOptions {
   std::string initial_config;
   /// Learner promotion threshold: eligible once its contiguous durable
   /// prefix is within this many entries of the leader's last index.
-  int64_t promotion_lag = 16;
+  int64_t promotion_lag = kDefaultPromotionLag;
   /// Recovery throttle: max log entries enqueued per recovery round.
-  int recovery_max_entries_per_round = 32;
+  int recovery_max_entries_per_round = kDefaultRecoveryBatch;
 };
 
 /// Leader heartbeat period. The leader's liveness estimate counts a peer
