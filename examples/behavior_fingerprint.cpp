@@ -5,8 +5,8 @@
 // per-seed digests (the fsync-gated acknowledgement path on simulated
 // disks), and the observability outputs: the post-mortem JSONL and
 // timeline of an induced safety violation, the lifecycle span stream of
-// one traced run per protocol, and that run's export files (Chrome trace,
-// trace JSONL, Prometheus snapshot) with the sampler on. The last two
+// one traced run per protocol, and that run's observability bundle
+// (Chrome trace, journal, timeline) with the sampler on. The last two
 // sections pin the multi-group and elastic paths: four consensus groups on
 // three hosts under the host-scoped nemesis, and a 3-voter cluster grown
 // to 5 with AddNode plus one leadership transfer, both under faults.
@@ -281,34 +281,26 @@ void PostmortemDigest() {
   std::filesystem::remove_all(dir);
 }
 
-// Digests the export files of one traced steady run sampled every 1 ms:
-// the Chrome trace, the trace JSONL, the Prometheus snapshot and the
-// bundle's full journal (JSONL and timeline), which pins every RPC
-// send/receive record.
+// Digests the observability bundle of one traced steady run sampled every
+// 1 ms: the Chrome trace and the full journal (JSONL and timeline), which
+// pins every RPC send/receive record.
 void ExportDigest(raft::Protocol protocol, uint64_t seed) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("behavior_fingerprint_export_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
   harness::ClusterConfig config = SteadyConfig(protocol, seed);
   config.sample_interval = Millis(1);
-  config.trace_path = (dir / "trace.json").string();
-  config.trace_jsonl_path = (dir / "trace.jsonl").string();
   harness::Cluster cluster(config);
   const std::string tag(raft::ProtocolName(protocol));
-  if (!RunSteady(cluster) || !cluster.WriteTraces().ok() ||
-      !cluster.WriteObsBundle(dir.string()).ok()) {
+  if (!RunSteady(cluster) || !cluster.WriteObsBundle(dir.string()).ok()) {
     std::printf("obs export %-8s seed %llu: FAILED\n", tag.c_str(),
                 static_cast<unsigned long long>(seed));
   } else {
     std::printf(
-        "obs export %-8s seed %llu: trace %s jsonl %s prom %s journal %s "
-        "timeline %s\n",
+        "obs export %-8s seed %llu: trace %s journal %s timeline %s\n",
         tag.c_str(), static_cast<unsigned long long>(seed),
-        FileDigest(config.trace_path).c_str(),
-        FileDigest(config.trace_jsonl_path).c_str(),
-        FileDigest((dir / "metrics.prom").string()).c_str(),
+        FileDigest((dir / "trace.json").string()).c_str(),
         FileDigest((dir / "journal.jsonl").string()).c_str(),
         FileDigest((dir / "timeline.txt").string()).c_str());
   }

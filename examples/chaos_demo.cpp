@@ -11,12 +11,11 @@
 // omitted = every core) and exits non-zero if any cell trips a safety
 // oracle — cheap enough that CI runs N=1000 per protocol on every push.
 //
-// With a trace_dir, chaos_demo writes <trace_dir>/chaos_<seed>.json —
-// open it in https://ui.perfetto.dev to see chaos.* fault instants lined
-// up with per-entry lifecycle spans — plus the full observability bundle
-// (compressed metric series, flight-recorder journal, Prometheus/JSON
-// snapshots) under <trace_dir>/obs_<seed>/, renderable with
-// tools/obs_report.py.
+// With a trace_dir, chaos_demo writes the traced NB-Raft run's
+// observability bundle to <trace_dir>/obs_<seed>/: metric series,
+// flight-recorder journal, per-node stats, and trace.json — open it in
+// https://ui.perfetto.dev to see chaos.* fault instants lined up with
+// per-entry lifecycle spans. tools/obs_report.py renders the bundle.
 
 #include <cstdio>
 #include <cstdlib>
@@ -62,15 +61,13 @@ chaos::ChaosPlan DemoPlan(uint64_t seed) {
 }
 
 chaos::ChaosReport RunOne(raft::Protocol protocol, uint64_t seed,
-                          const std::string& trace_path,
                           const std::string& obs_dir, bool verbose) {
   harness::ClusterConfig config = DemoConfig(protocol, seed);
-  if (!trace_path.empty()) config.trace_path = trace_path;
   if (!obs_dir.empty()) {
-    // Full pipeline for the exported run: sampled + Gorilla-compressed
-    // telemetry and the flight recorder.
+    // Full pipeline for the exported run: lifecycle spans, the flight
+    // recorder and sampled + Gorilla-compressed telemetry.
+    config.trace = true;
     config.sample_interval = Millis(1);
-    config.journal = true;
   }
   chaos::ChaosRunner::Options options;
   options.rounds = 6;
@@ -84,20 +81,6 @@ chaos::ChaosReport RunOne(raft::Protocol protocol, uint64_t seed,
     }
   }
   std::printf("  %s\n", report.Summary().c_str());
-  if (!trace_path.empty() && runner.cluster()->WriteTraces().ok()) {
-    std::printf("  trace written to %s\n", trace_path.c_str());
-    // Drop the raw per-node counters next to the trace so a dashboard can
-    // line RPC/batching stats up against the lifecycle spans.
-    std::string stats_path = trace_path;
-    const size_t dot = stats_path.rfind(".json");
-    stats_path = stats_path.substr(0, dot) + "_stats.json";
-    if (std::FILE* f = std::fopen(stats_path.c_str(), "w")) {
-      const std::string json = runner.cluster()->NodeStatsJson();
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("  per-node stats written to %s\n", stats_path.c_str());
-    }
-  }
   if (!obs_dir.empty()) {
     if (runner.cluster()->WriteObsBundle(obs_dir).ok()) {
       std::printf("  obs bundle written to %s "
@@ -189,24 +172,19 @@ int main(int argc, char** argv) {
 
   std::printf("[Raft x5]\n");
   chaos::ChaosReport raft_report =
-      RunOne(raft::Protocol::kRaft, seed, "", "", /*verbose=*/true);
+      RunOne(raft::Protocol::kRaft, seed, "", /*verbose=*/true);
 
   std::printf("\n[NB-Raft x5, window 64]\n");
-  const std::string trace_path =
-      trace_dir.empty()
-          ? ""
-          : trace_dir + "/chaos_" + std::to_string(seed) + ".json";
   const std::string obs_dir =
       trace_dir.empty() ? ""
                         : trace_dir + "/obs_" + std::to_string(seed);
-  chaos::ChaosReport nb_report = RunOne(raft::Protocol::kNbRaft, seed,
-                                        trace_path, obs_dir,
-                                        /*verbose=*/false);
+  chaos::ChaosReport nb_report =
+      RunOne(raft::Protocol::kNbRaft, seed, obs_dir, /*verbose=*/false);
 
   std::printf("\n[NB-Raft replay of seed %llu]\n",
               static_cast<unsigned long long>(seed));
   chaos::ChaosReport replay =
-      RunOne(raft::Protocol::kNbRaft, seed, "", "", /*verbose=*/false);
+      RunOne(raft::Protocol::kNbRaft, seed, "", /*verbose=*/false);
 
   const bool identical =
       replay.fault_fingerprint == nb_report.fault_fingerprint &&

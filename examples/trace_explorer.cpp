@@ -1,8 +1,8 @@
 // Per-entry lifecycle tracing, side by side for Raft and NB-Raft: runs
 // both protocols with the tracer, journal and telemetry sampler attached,
-// exports Chrome trace_event JSON (open in chrome://tracing or
-// https://ui.perfetto.dev) plus a JSONL dump, and then validates the
-// traces themselves:
+// writes one observability bundle per protocol (its trace.json is Chrome
+// trace_event JSON: open it in chrome://tracing or
+// https://ui.perfetto.dev), and then validates the traces themselves:
 //
 //   1. nothing was evicted: every span and every journal event is in the
 //      export,
@@ -15,6 +15,8 @@
 // for the observability layer.
 //
 //   ./build/examples/trace_explorer [output_dir]
+//
+// The bundles land in <output_dir>/Raft/ and <output_dir>/NB-Raft/.
 
 #include <cmath>
 #include <cstdio>
@@ -78,8 +80,7 @@ TraceReport Explore(raft::Protocol protocol, const std::string& out_dir) {
   config.payload_size = 1024;
   config.client_think = Micros(50);
   config.seed = 4242;
-  config.trace_path = out_dir + "/" + tag + ".trace.json";
-  config.trace_jsonl_path = out_dir + "/" + tag + ".trace.jsonl";
+  config.trace = true;
   config.sample_interval = Millis(1);
   // Deep enough that the leader's ring keeps every RPC of the run.
   config.journal_capacity = 1 << 17;
@@ -95,7 +96,8 @@ TraceReport Explore(raft::Protocol protocol, const std::string& out_dir) {
   cluster.StopAllClients();
   cluster.RunFor(Millis(300));
 
-  const Status written = cluster.WriteTraces();
+  const std::string bundle = out_dir + "/" + tag;
+  const Status written = cluster.WriteObsBundle(bundle);
   if (!written.ok()) {
     std::fprintf(stderr, "%s: %s\n", tag.c_str(),
                  written.ToString().c_str());
@@ -108,8 +110,9 @@ TraceReport Explore(raft::Protocol protocol, const std::string& out_dir) {
   const harness::ClusterStats stats = cluster.Collect();
 
   std::printf("== %s ==\n", tag.c_str());
-  std::printf("  wrote %s (%zu spans, %llu instants, %zu samples)\n",
-              config.trace_path.c_str(), spans.size(),
+  std::printf("  wrote %s/trace.json (%zu spans, %llu instants, %zu "
+              "samples)\n",
+              bundle.c_str(), spans.size(),
               static_cast<unsigned long long>(journal.events_recorded()),
               cluster.sampler()->store().point_count(0));
   TraceReport report;
@@ -171,8 +174,8 @@ int main(int argc, char** argv) {
     }
   }
   if (ok) {
-    std::printf("all trace checks passed; load the .trace.json files in "
-                "https://ui.perfetto.dev to explore.\n");
+    std::printf("all trace checks passed; load the bundles' trace.json "
+                "files in https://ui.perfetto.dev to explore.\n");
   }
   return ok ? 0 : 1;
 }

@@ -40,9 +40,6 @@ Cluster::Cluster(ClusterConfig config)
   NBRAFT_CHECK_GE(config_.num_nodes, 1);
   NBRAFT_CHECK_GE(config_.num_clients, 0);
   NBRAFT_CHECK_GE(config_.num_groups, 1);
-  if (!config_.trace_path.empty() || !config_.trace_jsonl_path.empty()) {
-    config_.trace = true;
-  }
   // Spans come from the tracer, point events from the journal.
   if (config_.trace) config_.journal = true;
 
@@ -204,9 +201,8 @@ void Cluster::SetupObservability() {
     });
 
     // Per-replica series, suffixed with the replica's endpoint id (for one
-    // group that is ".node0".."nodeN", the historical names; the
-    // Prometheus exporter turns it into a node label). Lambdas capture raw
-    // pointers: groups_ never shrinks and outlives the sampler.
+    // group that is ".node0".."nodeN", the historical names). Lambdas
+    // capture raw pointers: groups_ never shrinks and outlives the sampler.
     for (int g = 0; g < num_groups(); ++g) {
       GroupRuntime* grp = groups_[static_cast<size_t>(g)].get();
       for (int r = 0; r < config_.num_nodes; ++r) {
@@ -273,24 +269,6 @@ std::string Cluster::EndpointName(int32_t id) const {
   return name;
 }
 
-Status Cluster::WriteTraces() const {
-  if (tracer_ == nullptr) return Status::Ok();
-  obs::ExportInputs inputs;
-  inputs.tracer = tracer_.get();
-  inputs.journal = journal_.get();
-  inputs.sampler = sampler_.get();
-  inputs.endpoint_name = [this](int32_t id) { return EndpointName(id); };
-  if (!config_.trace_path.empty()) {
-    Status s = obs::WriteChromeTrace(config_.trace_path, inputs);
-    if (!s.ok()) return s;
-  }
-  if (!config_.trace_jsonl_path.empty()) {
-    Status s = obs::WriteJsonl(config_.trace_jsonl_path, inputs);
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
 Status Cluster::WriteObsBundle(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -299,13 +277,17 @@ Status Cluster::WriteObsBundle(const std::string& dir) const {
                            ec.message());
   }
   obs::ExportInputs inputs;
+  inputs.tracer = tracer_.get();
+  inputs.journal = journal_.get();
   inputs.sampler = sampler_.get();
   inputs.endpoint_name = [this](int32_t id) { return EndpointName(id); };
 
   Status s = obs::WriteMetricsJson(dir + "/metrics.json", inputs);
   if (!s.ok()) return s;
-  s = obs::WritePrometheusText(dir + "/metrics.prom", inputs);
-  if (!s.ok()) return s;
+  if (tracer_ != nullptr) {
+    s = obs::WriteChromeTrace(dir + "/trace.json", inputs);
+    if (!s.ok()) return s;
+  }
 
   if (journal_ != nullptr) {
     // Full retained history (lookback 0): the bundle is a snapshot, not a

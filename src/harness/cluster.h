@@ -176,15 +176,13 @@ class Cluster {
   /// single-group, "g1 node 2" / "g1 client 17" sharded.
   std::string EndpointName(int32_t id) const;
 
-  /// Writes the Chrome trace_event JSON and/or JSONL dump to the paths in
-  /// the config. No-op Ok when tracing is off or both paths are empty.
-  Status WriteTraces() const;
-
   /// Writes the full observability bundle into `dir` (created if needed):
-  /// metrics.json + metrics.prom snapshots, the journal as journal.jsonl +
-  /// timeline.txt, and node_stats.json (plus per-group
+  /// the metrics.json snapshot, the Chrome trace_event JSON as trace.json
+  /// (open it in chrome://tracing or https://ui.perfetto.dev), the journal
+  /// as journal.jsonl + timeline.txt, and node_stats.json (plus per-group
   /// node_stats_g<g>.json when sharded). Pieces whose collector is off are
-  /// skipped. This is what tools/obs_report.py renders.
+  /// skipped: trace.json exists only when ClusterConfig::trace is on. This
+  /// is the one artifact writer; tools/obs_report.py renders its output.
   Status WriteObsBundle(const std::string& dir) const;
 
   /// Aggregates node + client metrics across every group (single group:

@@ -1,8 +1,6 @@
 #ifndef NBRAFT_HARNESS_CLUSTER_TYPES_H_
 #define NBRAFT_HARNESS_CLUSTER_TYPES_H_
 
-#include <string>
-
 #include "harness/workload.h"
 #include "metrics/breakdown.h"
 #include "metrics/histogram.h"
@@ -106,17 +104,11 @@ struct ClusterConfig {
 
   // ---- Observability ----
 
-  /// Enables the per-entry lifecycle tracer (implied by a non-empty
-  /// trace path) and, for its point events, the journal with the clients
-  /// wired in. Off by default: untraced runs pay a single null check.
+  /// Enables the per-entry lifecycle tracer and, for its point events,
+  /// the journal with the clients wired in; Cluster::WriteObsBundle then
+  /// adds trace.json. Off by default: untraced runs pay a single null
+  /// check.
   bool trace = false;
-
-  /// Where WriteTraces() puts the Chrome trace_event JSON ("" = skip).
-  /// Open it in chrome://tracing or https://ui.perfetto.dev.
-  std::string trace_path;
-
-  /// Where WriteTraces() puts the flat JSONL dump ("" = skip).
-  std::string trace_jsonl_path;
 
   /// Telemetry sampling period for window occupancy / commit lag / queue
   /// depth / in-flight RPCs / NIC bytes (0 = sampler off). Samples are kept

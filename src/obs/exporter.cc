@@ -1,6 +1,5 @@
 #include "obs/exporter.h"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
@@ -23,48 +22,6 @@ std::string DefaultEndpointName(int32_t id) {
 
 std::function<std::string(int32_t)> Namer(const ExportInputs& inputs) {
   return inputs.endpoint_name ? inputs.endpoint_name : DefaultEndpointName;
-}
-
-/// Splits a canonical `subsystem.noun_verb[.nodeN]` name into a Prometheus
-/// metric name (dots become underscores) and an optional node label.
-struct PromName {
-  std::string metric;
-  std::string node;  ///< Empty when the series is cluster-wide.
-};
-
-PromName ToPromName(const std::string& name) {
-  PromName out;
-  std::string base = name;
-  const size_t last_dot = name.rfind('.');
-  if (last_dot != std::string::npos &&
-      name.compare(last_dot + 1, 4, "node") == 0 &&
-      last_dot + 5 < name.size()) {
-    out.node = name.substr(last_dot + 5);
-    base = name.substr(0, last_dot);
-  }
-  out.metric.reserve(base.size());
-  for (const char c : base) {
-    const bool ok = (std::isalnum(static_cast<unsigned char>(c)) != 0) ||
-                    c == '_' || c == ':';
-    out.metric.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-/// Emits one gauge line, prefixing the family's `# TYPE` header the first
-/// time the family appears (families repeat across `.nodeN` series).
-void PromLine(std::FILE* f, std::set<std::string>* typed,
-              const std::string& name, double value) {
-  const PromName p = ToPromName(name);
-  if (typed->insert(p.metric).second) {
-    std::fprintf(f, "# TYPE %s gauge\n", p.metric.c_str());
-  }
-  if (p.node.empty()) {
-    std::fprintf(f, "%s %.17g\n", p.metric.c_str(), value);
-  } else {
-    std::fprintf(f, "%s{node=\"%s\"} %.17g\n", p.metric.c_str(),
-                 p.node.c_str(), value);
-  }
 }
 
 /// Decodes every series of the sampler's store and calls `emit(name,
@@ -176,86 +133,18 @@ Status WriteChromeTrace(const std::string& path,
   return f.Close();
 }
 
-Status WriteJsonl(const std::string& path, const ExportInputs& inputs) {
-  OutputFile f(path);
-  if (f.get() == nullptr) {
-    return Status::IoError("cannot open trace file " + path);
-  }
-
-  if (inputs.tracer != nullptr || inputs.journal != nullptr) {
-    std::fputs("{\"type\":\"meta\"", f.get());
-    if (inputs.tracer != nullptr) {
-      std::fprintf(f.get(),
-                   ",\"spans_recorded\":%" PRIu64 ",\"spans_dropped\":%" PRIu64,
-                   inputs.tracer->spans_recorded(),
-                   inputs.tracer->spans_dropped());
-    }
-    if (inputs.journal != nullptr) {
-      std::fprintf(f.get(),
-                   ",\"events_recorded\":%" PRIu64
-                   ",\"events_dropped\":%" PRIu64,
-                   inputs.journal->events_recorded(),
-                   inputs.journal->events_dropped());
-    }
-    std::fputs("}\n", f.get());
-  }
-  if (inputs.tracer != nullptr) {
-    for (const SpanEvent& s : inputs.tracer->spans()) {
-      std::fprintf(f.get(),
-                   "{\"type\":\"span\",\"phase\":\"%s\",\"node\":%d,"
-                   "\"term\":%" PRId64 ",\"index\":%" PRId64
-                   ",\"request_id\":%" PRIu64 ",\"start_ns\":%" PRId64
-                   ",\"end_ns\":%" PRId64 "}\n",
-                   std::string(metrics::PhaseNotation(s.phase)).c_str(),
-                   s.node, s.term, s.index, s.request_id, s.start, s.end);
-    }
-  }
-  if (inputs.journal != nullptr) {
-    for (const JournalEvent& e : inputs.journal->MergedEvents()) {
-      std::fprintf(f.get(),
-                   "{\"type\":\"instant\",\"name\":\"%s\",\"node\":%d,"
-                   "\"peer\":%d,\"at_ns\":%" PRId64 ",\"a\":%" PRId64
-                   ",\"b\":%" PRId64 "}\n",
-                   Journal::KindName(e.kind), e.node, e.peer, e.at, e.a, e.b);
-    }
-  }
-
-  const Status sampled = ForEachSample(
-      inputs.sampler, [&](const std::string& name, const tsdb::Point& p) {
-        std::fprintf(f.get(),
-                     "{\"type\":\"sample\",\"series\":\"%s\",\"at_ns\":%" PRId64
-                     ",\"value\":%.6g}\n",
-                     name.c_str(), p.timestamp, p.value);
-      });
-  if (!sampled.ok()) return sampled;
-  return f.Close();
-}
-
-Status WritePrometheusText(const std::string& path,
-                           const ExportInputs& inputs) {
-  OutputFile f(path);
-  if (f.get() == nullptr) {
-    return Status::IoError("cannot open metrics file " + path);
-  }
-  std::set<std::string> typed;
-  if (inputs.sampler != nullptr) {
-    const SeriesStore& store = inputs.sampler->store();
-    for (size_t i = 0; i < store.series_count(); ++i) {
-      auto points = store.Decode(i);
-      if (!points.ok()) return points.status();
-      if (points->empty()) continue;
-      PromLine(f.get(), &typed, store.name(i), points->back().value);
-    }
-  }
-  return f.Close();
-}
-
 Status WriteMetricsJson(const std::string& path, const ExportInputs& inputs) {
   OutputFile f(path);
   if (f.get() == nullptr) {
     return Status::IoError("cannot open metrics file " + path);
   }
   std::fputs("{\"schema\":\"nbraft-obs-metrics-v2\"", f.get());
+  if (inputs.tracer != nullptr) {
+    std::fprintf(f.get(),
+                 ",\"spans_recorded\":%" PRIu64 ",\"spans_dropped\":%" PRIu64,
+                 inputs.tracer->spans_recorded(),
+                 inputs.tracer->spans_dropped());
+  }
   if (inputs.sampler != nullptr) {
     std::fprintf(f.get(), ",\"sample_interval_ns\":%" PRId64,
                  inputs.sampler->interval());

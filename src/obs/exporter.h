@@ -30,23 +30,12 @@ struct ExportInputs {
 /// here, it returns IoError when the file cannot be opened or written.
 Status WriteChromeTrace(const std::string& path, const ExportInputs& inputs);
 
-/// Writes a flat JSONL dump (one JSON object per line, `type` field keyed)
-/// for scripts: a meta line with the span and journal ring counters, then
-/// spans, instants (journal events), samples.
-Status WriteJsonl(const std::string& path, const ExportInputs& inputs);
-
-/// Writes a Prometheus text-format (v0.0.4) snapshot: the latest value of
-/// every sampled series, as a gauge. Names are sanitized to the Prometheus
-/// charset (`raft.window_occupancy.node2` becomes
-/// `raft_window_occupancy{node="2"}`).
-Status WritePrometheusText(const std::string& path,
-                           const ExportInputs& inputs);
-
 /// Writes a single-document JSON metrics snapshot (schema
-/// `nbraft-obs-metrics-v2`): the sample interval and every sampled series
-/// decoded back to full resolution from the sampler's store, plus its
-/// compression accounting. This is the file tools/obs_report.py renders
-/// the dashboard from.
+/// `nbraft-obs-metrics-v2`): the span ring's counters (`spans_recorded`,
+/// `spans_dropped`; present only with a tracer, so truncation shows), the
+/// sample interval, and every sampled series decoded back to full
+/// resolution from the sampler's store, plus its compression accounting.
+/// This is the file tools/obs_report.py renders the dashboard from.
 Status WriteMetricsJson(const std::string& path, const ExportInputs& inputs);
 
 }  // namespace nbraft::obs

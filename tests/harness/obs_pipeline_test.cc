@@ -171,19 +171,57 @@ TEST(ObsPipelineTest, WriteObsBundleLandsTheFullSnapshotSet) {
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(cluster.WriteObsBundle(dir).ok());
 
-  for (const char* file : {"metrics.json", "metrics.prom", "journal.jsonl",
-                           "timeline.txt", "node_stats.json"}) {
+  for (const char* file :
+       {"metrics.json", "journal.jsonl", "timeline.txt", "node_stats.json"}) {
     EXPECT_TRUE(std::filesystem::exists(dir + "/" + file)) << file;
   }
   const std::string metrics = Slurp(dir + "/metrics.json");
   EXPECT_NE(metrics.find("\"nbraft-obs-metrics-v2\""), std::string::npos);
   EXPECT_NE(metrics.find(obs::names::kBarriersPending), std::string::npos);
-  const std::string prom = Slurp(dir + "/metrics.prom");
-  EXPECT_NE(prom.find("{node=\"0\"}"), std::string::npos);
   const std::string journal = Slurp(dir + "/journal.jsonl");
   EXPECT_NE(journal.find("\"type\":\"meta\""), std::string::npos);
   EXPECT_NE(journal.find("net.msg_send"), std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+// trace.json is the bundle's only serialization of spans: present exactly
+// when ClusterConfig::trace is on, with the span ring's counters in
+// metrics.json beside it.
+TEST(ObsPipelineTest, WriteObsBundleHoldsTraceJsonIffTracing) {
+  for (const bool trace : {false, true}) {
+    ClusterConfig config = ObsConfig(15);
+    config.trace = trace;
+    Cluster cluster(config);
+    cluster.Start();
+    ASSERT_TRUE(cluster.AwaitLeader());
+    cluster.StartClients();
+    cluster.RunFor(Millis(20));
+
+    const std::string dir =
+        test_util::TestTempPath(trace ? "obs_traced" : "obs_untraced")
+            .string();
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(cluster.WriteObsBundle(dir).ok());
+    EXPECT_EQ(std::filesystem::exists(dir + "/trace.json"), trace);
+    const std::string metrics = Slurp(dir + "/metrics.json");
+    EXPECT_EQ(metrics.find("\"spans_recorded\":") != std::string::npos,
+              trace)
+        << metrics.substr(0, 200);
+    if (trace) {
+      ASSERT_NE(cluster.tracer(), nullptr);
+      EXPECT_GT(cluster.tracer()->spans_recorded(), 0u);
+      const std::string counters =
+          "\"spans_recorded\":" +
+          std::to_string(cluster.tracer()->spans_recorded()) +
+          ",\"spans_dropped\":" +
+          std::to_string(cluster.tracer()->spans_dropped());
+      EXPECT_NE(metrics.find(counters), std::string::npos) << counters;
+      const std::string chrome = Slurp(dir + "/trace.json");
+      EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
+      EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // A full disk fails only when stdio flushes its buffer, so the bundle's

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/journal.h"
@@ -88,65 +90,53 @@ TEST_F(ExporterTest, ChromeTraceContainsSpansInstantsAndCounters) {
   EXPECT_EQ(body.back(), '\n');
 }
 
-TEST_F(ExporterTest, JsonlEmitsOneObjectPerLine) {
+// The Chrome trace is the only serialization of spans, so its microsecond
+// `ts`/`dur` text must give back every integer-nanosecond bound exactly,
+// including sub-microsecond remainders and starts a day into a run.
+TEST_F(ExporterTest, ChromeTraceKeepsIntegerNanosecondSpanBounds) {
   Tracer tracer;
-  tracer.RecordSpan(metrics::Phase::kCommit, 0, 1, 2, 3, 0, 100);
-  Journal::Options options;
-  options.per_node_capacity = 1;
-  Journal journal(nullptr, 1, options);
-  journal.RecordAt(40, JournalEventKind::kRpcSend, 0, 1,
-                   static_cast<int64_t>(JournalRpc::kHeartbeat), 64);
-  journal.RecordAt(50, JournalEventKind::kRpcSend, 0, 1,
-                   static_cast<int64_t>(JournalRpc::kHeartbeat), 64);
-
-  sim::Simulator sim(1);
-  Sampler sampler(&sim, Millis(1));
-  sampler.AddSource("a", []() { return 1.5; });
-  sampler.AddSource("b", []() { return 2.0; });
-  sampler.Start();
-  sim.RunUntil(Millis(1));
-
+  const std::vector<std::pair<SimTime, SimTime>> bounds = {
+      {0, 1},
+      {999, 1001},
+      {Micros(10) + 7, Micros(25) + 993},
+      {Seconds(3600) + 123456789, Seconds(3600) + 123456789 + 1},
+      {Seconds(86400) - 1, Seconds(86400) + 999999999}};
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    tracer.RecordSpan(metrics::Phase::kCommit, 0, 1,
+                      static_cast<int64_t>(i + 1), 0, bounds[i].first,
+                      bounds[i].second);
+  }
   ExportInputs inputs;
   inputs.tracer = &tracer;
-  inputs.journal = &journal;
-  inputs.sampler = &sampler;
-
-  const std::string path = TempPath("trace.jsonl");
-  ASSERT_TRUE(WriteJsonl(path, inputs).ok());
+  const std::string path = TempPath("ns_bounds.json");
+  ASSERT_TRUE(WriteChromeTrace(path, inputs).ok());
   const std::string body = Slurp(path);
 
-  std::istringstream lines(body);
-  std::string line;
-  int spans = 0, instants = 0, samples = 0, metas = 0;
-  while (std::getline(lines, line)) {
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    if (line.find("\"type\":\"span\"") != std::string::npos) ++spans;
-    if (line.find("\"type\":\"instant\"") != std::string::npos) ++instants;
-    if (line.find("\"type\":\"sample\"") != std::string::npos) ++samples;
-    if (line.find("\"type\":\"meta\"") != std::string::npos) ++metas;
+  size_t pos = 0;
+  size_t parsed = 0;
+  while ((pos = body.find("\"ph\":\"X\",\"ts\":", pos)) !=
+         std::string::npos) {
+    double ts = 0;
+    double dur = 0;
+    long long index = 0;
+    ASSERT_EQ(std::sscanf(body.c_str() + pos,
+                          "\"ph\":\"X\",\"ts\":%lf,\"dur\":%lf,"
+                          "\"pid\":%*d,\"tid\":%*d,\"args\":{\"term\":%*d,"
+                          "\"index\":%lld",
+                          &ts, &dur, &index),
+              3)
+        << body.substr(pos, 120);
+    ASSERT_GE(index, 1);
+    ASSERT_LE(index, static_cast<long long>(bounds.size()));
+    const auto& [start, end] = bounds[static_cast<size_t>(index - 1)];
+    const SimTime got_start = std::llround(ts * 1000.0);
+    EXPECT_EQ(got_start, start) << "span " << index;
+    EXPECT_EQ(got_start + std::llround(dur * 1000.0), end)
+        << "span " << index;
+    ++parsed;
+    ++pos;
   }
-  EXPECT_EQ(spans, 1);
-  EXPECT_EQ(instants, 1);  // The one-slot ring kept the newer send.
-  EXPECT_EQ(samples, 4);  // Two sources at t=0 and t=1ms.
-  EXPECT_EQ(metas, 1);
-  // The meta line makes both rings' truncation visible.
-  EXPECT_EQ(body.find("{\"type\":\"meta\",\"spans_recorded\":1,"
-                      "\"spans_dropped\":0,\"events_recorded\":2,"
-                      "\"events_dropped\":1}\n"),
-            0u)
-      << body;
-  EXPECT_NE(body.find("{\"type\":\"instant\",\"name\":\"net.msg_send\","
-                      "\"node\":0,\"peer\":1,\"at_ns\":50,\"a\":1,\"b\":64}"),
-            std::string::npos)
-      << body;
-  // Samples come tick-major: both sources at t=0, then both at t=1ms.
-  EXPECT_NE(body.find("{\"type\":\"sample\",\"series\":\"b\",\"at_ns\":0,"
-                      "\"value\":2}\n{\"type\":\"sample\",\"series\":\"a\","
-                      "\"at_ns\":1000000,\"value\":1.5}\n"),
-            std::string::npos)
-      << body;
+  EXPECT_EQ(parsed, bounds.size());
 }
 
 TEST_F(ExporterTest, EmptyInputsProduceValidFiles) {
@@ -159,56 +149,10 @@ TEST_F(ExporterTest, EmptyInputsProduceValidFiles) {
   EXPECT_NE(trace_body.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(trace_body.front(), '{');
 
-  const std::string jsonl = TempPath("empty.jsonl");
-  ASSERT_TRUE(WriteJsonl(jsonl, inputs).ok());
-  EXPECT_TRUE(Slurp(jsonl).empty());
-
-  const std::string prom = TempPath("empty.prom");
-  ASSERT_TRUE(WritePrometheusText(prom, inputs).ok());
-  EXPECT_TRUE(Slurp(prom).empty());
-
   const std::string json = TempPath("empty_metrics.json");
   ASSERT_TRUE(WriteMetricsJson(json, inputs).ok());
   const std::string json_body = Slurp(json);
   EXPECT_EQ(json_body, "{\"schema\":\"nbraft-obs-metrics-v2\",\"series\":[]}\n");
-}
-
-TEST_F(ExporterTest, PrometheusTurnsNodeSuffixIntoLabel) {
-  sim::Simulator sim(1);
-  Sampler sampler(&sim, Millis(1));
-  int64_t occupancy = 30;
-  sampler.AddSource("raft.window_occupancy.node2", [&occupancy]() {
-    return static_cast<double>(occupancy);
-  });
-  sampler.AddSource("raft.window_occupancy.node11", []() { return 4.0; });
-  sampler.AddSource("net.bytes_sent", []() { return 3.0; });
-  sampler.Start();
-  sim.After(Micros(500), [&occupancy]() { occupancy = 37; });
-  sim.RunUntil(Millis(1));
-
-  ExportInputs inputs;
-  inputs.sampler = &sampler;
-  const std::string path = TempPath("labels.prom");
-  ASSERT_TRUE(WritePrometheusText(path, inputs).ok());
-  const std::string body = Slurp(path);
-
-  // Each series exports its last sample.
-  EXPECT_NE(body.find("raft_window_occupancy{node=\"2\"} 37\n"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("raft_window_occupancy{node=\"11\"} 4\n"),
-            std::string::npos);
-  EXPECT_NE(body.find("# TYPE net_bytes_sent gauge\nnet_bytes_sent 3\n"),
-            std::string::npos);
-  // One TYPE header per family, even with two labeled series.
-  size_t headers = 0;
-  size_t pos = 0;
-  while ((pos = body.find("# TYPE raft_window_occupancy", pos)) !=
-         std::string::npos) {
-    ++headers;
-    pos += 1;
-  }
-  EXPECT_EQ(headers, 1u);
 }
 
 TEST_F(ExporterTest, MetricsJsonEmitsDecodedCompressedSeries) {
@@ -251,6 +195,22 @@ TEST_F(ExporterTest, MetricsJsonEmitsDecodedCompressedSeries) {
   EXPECT_NE(body.find(accounting), std::string::npos) << accounting;
 }
 
+// trace.json keeps only the spans the ring retained, so metrics.json
+// carries the ring's counters and a truncated span stream shows.
+TEST_F(ExporterTest, MetricsJsonCarriesSpanRingCounters) {
+  Tracer tracer(2);
+  for (int i = 0; i < 5; ++i) {
+    tracer.RecordSpan(metrics::Phase::kCommit, 0, 1, i + 1, 0, i, i + 1);
+  }
+  ExportInputs inputs;
+  inputs.tracer = &tracer;
+  const std::string path = TempPath("span_counters.json");
+  ASSERT_TRUE(WriteMetricsJson(path, inputs).ok());
+  EXPECT_EQ(Slurp(path),
+            "{\"schema\":\"nbraft-obs-metrics-v2\",\"spans_recorded\":5,"
+            "\"spans_dropped\":3,\"series\":[]}\n");
+}
+
 TEST_F(ExporterTest, UnwritablePathReturnsIoError) {
   Tracer tracer;
   ExportInputs inputs;
@@ -274,8 +234,7 @@ TEST_F(ExporterTest, FullDeviceReturnsIoError) {
   inputs.tracer = &tracer;
   inputs.sampler = &sampler;
 
-  for (const auto writer : {&WriteChromeTrace, &WriteJsonl,
-                            &WritePrometheusText, &WriteMetricsJson}) {
+  for (const auto writer : {&WriteChromeTrace, &WriteMetricsJson}) {
     const Status s = writer("/dev/full", inputs);
     EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
   }
