@@ -6,32 +6,12 @@ std::string_view StatusCodeToString(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
       return "Ok";
-    case StatusCode::kInvalidArgument:
-      return "InvalidArgument";
-    case StatusCode::kNotFound:
-      return "NotFound";
     case StatusCode::kOutOfRange:
       return "OutOfRange";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kCorruption:
       return "Corruption";
     case StatusCode::kIoError:
       return "IoError";
-    case StatusCode::kNotLeader:
-      return "NotLeader";
-    case StatusCode::kLeaderChanged:
-      return "LeaderChanged";
-    case StatusCode::kLogMismatch:
-      return "LogMismatch";
-    case StatusCode::kTimeout:
-      return "Timeout";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
-    case StatusCode::kAborted:
-      return "Aborted";
-    case StatusCode::kInternal:
-      return "Internal";
   }
   return "Unknown";
 }

@@ -12,22 +12,12 @@ namespace nbraft {
 /// exceptions; every fallible operation returns a `Status` or a `Result<T>`.
 enum class StatusCode : uint8_t {
   kOk = 0,
-  kInvalidArgument,
-  kNotFound,
   kOutOfRange,
-  kAlreadyExists,
   kCorruption,
   kIoError,
-  kNotLeader,      ///< Request must be retried on the current leader.
-  kLeaderChanged,  ///< Leadership moved while a request was in flight.
-  kLogMismatch,    ///< Follower log does not contain the expected prefix.
-  kTimeout,
-  kUnavailable,
-  kAborted,
-  kInternal,
 };
 
-/// Returns a stable human-readable name for `code` ("Ok", "NotLeader", ...).
+/// Returns a stable human-readable name for `code` ("Ok", "IoError", ...).
 std::string_view StatusCodeToString(StatusCode code);
 
 /// A cheap, copyable success-or-error value.
@@ -46,17 +36,8 @@ class Status {
       : code_(code), message_(std::move(message)) {}
 
   static Status Ok() { return Status(); }
-  static Status InvalidArgument(std::string msg) {
-    return Status(StatusCode::kInvalidArgument, std::move(msg));
-  }
-  static Status NotFound(std::string msg) {
-    return Status(StatusCode::kNotFound, std::move(msg));
-  }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
   }
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
@@ -64,36 +45,10 @@ class Status {
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
   }
-  static Status NotLeader(std::string msg) {
-    return Status(StatusCode::kNotLeader, std::move(msg));
-  }
-  static Status LeaderChanged(std::string msg) {
-    return Status(StatusCode::kLeaderChanged, std::move(msg));
-  }
-  static Status LogMismatch(std::string msg) {
-    return Status(StatusCode::kLogMismatch, std::move(msg));
-  }
-  static Status Timeout(std::string msg) {
-    return Status(StatusCode::kTimeout, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status Aborted(std::string msg) {
-    return Status(StatusCode::kAborted, std::move(msg));
-  }
-  static Status Internal(std::string msg) {
-    return Status(StatusCode::kInternal, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
-
-  bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsNotLeader() const { return code_ == StatusCode::kNotLeader; }
-  bool IsTimeout() const { return code_ == StatusCode::kTimeout; }
-  bool IsLogMismatch() const { return code_ == StatusCode::kLogMismatch; }
 
   /// "Ok" or "<Code>: <message>".
   std::string ToString() const;
