@@ -56,8 +56,6 @@ int64_t WallNanosSinceFirstMessage() {
 
 LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
 
-void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
 LogLevel ParseLogLevel(const char* text, LogLevel fallback) {
   if (text == nullptr || *text == '\0') return fallback;
   if (text[0] >= '0' && text[0] <= '5' && text[1] == '\0') {

@@ -27,7 +27,6 @@ enum class LogLevel : int {
 /// environment variable (name like "debug"/"INFO" or integer 0-5) overrides
 /// the default at startup.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 /// Parses "trace"/"debug"/"info"/"warn"/"error"/"fatal" (any case) or an
 /// integer 0-5. Returns `fallback` on anything else (including nullptr).

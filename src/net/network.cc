@@ -14,10 +14,6 @@ void SimNetwork::RegisterEndpoint(NodeId id, MessageHandler handler) {
   handlers_.At(id) = std::move(handler);
 }
 
-void SimNetwork::UnregisterEndpoint(NodeId id) {
-  if (MessageHandler* handler = handlers_.Find(id)) *handler = nullptr;
-}
-
 void SimNetwork::BindEndpoint(NodeId id, NodeId physical) {
   physical_plus1_.At(id) = physical + 1;
 }
@@ -169,8 +165,6 @@ void SimNetwork::SetNodeUp(NodeId id, bool up) {
     nics_.At(physical) = Nic{};
   }
 }
-
-bool SimNetwork::IsNodeUp(NodeId id) const { return !IsDown(PhysicalOf(id)); }
 
 void SimNetwork::SetLinkCut(NodeId a, NodeId b, bool cut,
                             bool bidirectional) {

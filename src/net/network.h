@@ -92,7 +92,6 @@ class SimNetwork {
   /// Registers the handler invoked for messages delivered to `id`.
   /// Registering twice replaces the handler.
   void RegisterEndpoint(NodeId id, MessageHandler handler);
-  void UnregisterEndpoint(NodeId id);
   /// The handler registered for `id` (empty when none), so a caller can
   /// wrap an endpoint's delivery path and register the wrapper.
   MessageHandler handler(NodeId id) const {
@@ -129,7 +128,6 @@ class SimNetwork {
   /// taking one endpoint down takes its physical host — and every
   /// co-resident endpoint — down with it.
   void SetNodeUp(NodeId id, bool up);
-  bool IsNodeUp(NodeId id) const;
 
   /// Cuts / restores connectivity between two nodes. With `bidirectional`
   /// (the default, matching the historical API) both directions are

@@ -196,16 +196,6 @@ std::vector<JournalEvent> Journal::MergedEvents() const {
   return out;
 }
 
-void Journal::Clear() {
-  for (Ring& ring : rings_) {
-    ring.head = 0;
-    ring.written = 0;
-  }
-  next_seq_ = 0;
-  recorded_ = 0;
-  dropped_ = 0;
-}
-
 Status Journal::WriteJsonl(const std::string& path, SimTime cutoff,
                            SimDuration lookback) const {
   OutputFile f(path);

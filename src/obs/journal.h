@@ -149,8 +149,6 @@ class Journal {
   /// All retained events merged across rings, in record (seq) order.
   std::vector<JournalEvent> MergedEvents() const;
 
-  void Clear();
-
   // ---- Post-mortem export ----
 
   /// Maps an endpoint id to a display name; nullptr labels "node N".

@@ -82,10 +82,6 @@ const std::string& PetriNet::PlaceName(PlaceId place) const {
   return places_[static_cast<size_t>(place)].name;
 }
 
-const std::string& PetriNet::TransitionName(TransitionId t) const {
-  return transitions_[static_cast<size_t>(t)].name;
-}
-
 void PetriNet::AccrueTokenTime(Place* place) {
   place->token_time += static_cast<double>(place->tokens) *
                        static_cast<double>(now_ - place->last_change);

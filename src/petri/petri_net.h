@@ -97,7 +97,6 @@ class PetriNet {
   double TokenTime(PlaceId place) const;
 
   const std::string& PlaceName(PlaceId place) const;
-  const std::string& TransitionName(TransitionId t) const;
   int num_places() const { return static_cast<int>(places_.size()); }
   int num_transitions() const {
     return static_cast<int>(transitions_.size());

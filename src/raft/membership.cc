@@ -71,10 +71,6 @@ bool Configuration::IsVoter(net::NodeId id) const {
   return Contains(voters, id) || Contains(new_voters, id);
 }
 
-bool Configuration::IsNewVoter(net::NodeId id) const {
-  return Contains(new_voters, id);
-}
-
 bool Configuration::IsLearner(net::NodeId id) const {
   return Contains(learners, id);
 }

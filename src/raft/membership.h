@@ -34,7 +34,6 @@ struct Configuration {
 
   /// Voter in either generation (C_old or C_new).
   bool IsVoter(net::NodeId id) const;
-  bool IsNewVoter(net::NodeId id) const;
   bool IsLearner(net::NodeId id) const;
   /// Any role at all — replication fans out exactly to known nodes.
   bool Knows(net::NodeId id) const;
